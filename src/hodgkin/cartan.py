@@ -225,32 +225,6 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def mat_inv(a: Matrix) -> Matrix:
-    """Inverse of a small unimodular integer matrix (exact, Fractions)."""
-    n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = aug[i][n + j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular over the integers")
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _cartan_inverse(datum: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
     """Exact inverse of the Cartan matrix (rational)."""

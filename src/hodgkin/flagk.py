@@ -30,7 +30,7 @@ from .errors import CertificationError, DefectError, ResourceGuardError
 from .laurent import CharacterSet, LaurentPoly
 
 #: Above this many basis elements the full multiplication table is not
-#: materialized; products go through cached monomial operators instead.
+#: materialized; products walk the multiplication matrices instead.
 TABLE_LIMIT = 200
 
 
@@ -222,8 +222,11 @@ class FlagKModule:
     matrix with determinant ``gram_det`` in {+1, -1}; ``gram_inv`` is its
     exact integer inverse.  ``mult_matrices[i]`` is multiplication by
     ``t_i`` in basis coordinates (with ``mult_matrices_inv[i]`` its
-    inverse), and ``mult_table`` — when materialized — stacks the left
-    multiplication operator of every basis class.
+    inverse).  The module is cyclic on ``unit_coords``: the basis class
+    of weight lambda is M^lambda applied to the unit, where
+    M^lambda = prod_i mult_matrices[i]^lambda_i.  ``mult_table`` — when
+    materialized — stacks those operators M^lambda, one per basis class,
+    so every product is a polynomial in the multiplication matrices.
     """
 
     datum: RootDatum
@@ -240,7 +243,6 @@ class FlagKModule:
     mult_table: np.ndarray | None
     _rhs_cache: dict = field(default_factory=dict, repr=False)
     _coords_cache: dict = field(default_factory=dict, repr=False)
-    _operator_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def rank(self) -> int:
@@ -280,38 +282,54 @@ class FlagKModule:
     # -- multiplication -------------------------------------------------
 
     def monomial_operator(self, exps: Vector) -> np.ndarray:
-        """Matrix of multiplication by ``e^exps`` on basis coordinates."""
-        exps = tuple(int(x) for x in exps)
-        cached = self._operator_cache.get(exps)
-        if cached is None:
-            rhs = np.stack(
-                [self._rhs_vector(tuple(x + y for x, y in zip(exps, b))).astype(object)
-                 for b in self.basis_weights], axis=1)
-            cached = linalg.dot_exact(self.gram_inv, linalg._shrink(rhs))
-            if len(self._operator_cache) > 4096:
-                self._operator_cache.clear()  # crude but safe bound
-            self._operator_cache[exps] = cached
-        return cached
+        """Matrix of multiplication by ``e^exps``, solved from the pairing."""
+        rhs = np.stack([self._rhs_vector(tuple(int(x) + y for x, y in zip(exps, b)))
+                        for b in self.basis_weights], axis=1)
+        return linalg.dot_exact(self.gram_inv, rhs)
+
+    def _walk(self, start: np.ndarray, weights) -> list[np.ndarray]:
+        """``M^lambda @ start`` for every weight lambda in ``weights``.
+
+        The weights are walked as a prefix trie over their coordinates:
+        children that share a prefix share its product, and each edge is
+        one exact product by M_i or M_i^-1.  ``start`` is a coordinate
+        vector or a matrix.
+        """
+        out: list = [None] * len(weights)
+
+        def descend(vec: np.ndarray, depth: int, members: list[int]) -> None:
+            if depth == self.datum.rank:
+                for idx in members:
+                    out[idx] = vec
+                return
+            groups: dict[int, list[int]] = {}
+            for idx in members:
+                groups.setdefault(int(weights[idx][depth]), []).append(idx)
+            if 0 in groups:
+                descend(vec, depth + 1, groups[0])
+            for sign, op in ((1, self.mult_matrices[depth]),
+                             (-1, self.mult_matrices_inv[depth])):
+                cur = vec
+                for steps in range(1, max(sign * v for v in groups) + 1):
+                    cur = linalg.dot_exact(op, cur)
+                    if sign * steps in groups:
+                        descend(cur, depth + 1, groups[sign * steps])
+
+        descend(start, 0, list(range(len(weights))))
+        return out
 
     def left_multiplier(self, coords_vec: np.ndarray) -> np.ndarray:
-        """Matrix of multiplication by the class with those coordinates."""
+        """Matrix of multiplication by the class with those coordinates.
+
+        Without the table, column v is M^lambda_v applied to the class:
+        multiplication by x sends the basis class M^lambda_v u to
+        M^lambda_v x, because the multiplication matrices commute.
+        """
+        vec = linalg.as_int_array(coords_vec)
         if self.mult_table is not None:
-            table = self.mult_table
-            vec = np.asarray(coords_vec)
-            if table.dtype == np.int64 and vec.dtype == np.int64:
-                bound = (linalg._maxabs(vec) * linalg._maxabs(table)
-                         * max(vec.size, 1))
-                if bound < linalg._LIMIT:
-                    return np.tensordot(vec, table, axes=(0, 0))
-            if table.dtype != object:
-                table = table.astype(object)
-            return linalg._shrink(
-                np.tensordot(vec.astype(object), table, axes=(0, 0)))
-        out = np.zeros((self.rank, self.rank), dtype=object)
-        for u, val in enumerate(coords_vec):
-            if val:
-                out = out + int(val) * self.monomial_operator(self.basis_weights[u]).astype(object)
-        return linalg._shrink(out)
+            flat = self.mult_table.reshape(self.rank, -1)
+            return linalg.dot_exact(vec, flat).reshape(self.rank, self.rank)
+        return linalg._shrink(np.stack(self._walk(vec, self.basis_weights), axis=1))
 
     def multiply_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return linalg.dot_exact(self.left_multiplier(x), np.asarray(y))
@@ -325,11 +343,10 @@ def build_module(datum: RootDatum, weyl: WeylGroup, chars: CharacterSet,
 
     Always certified: the Gram determinant is +-1 and the inverse is
     exact; each multiplication matrix composed with its inverse gives the
-    identity.  With ``audit=True`` the expensive self-checks also run:
-    the matrices commute pairwise, every fundamental character acts as
-    its dimension times the identity, each ``t_i - 1`` is nilpotent of
-    index at most |positive roots| + 1, and the multiplication table is
-    commutative with the unit acting as identity.
+    identity.  With ``audit=True`` :func:`_audit_module` also certifies
+    that the unit generates the module and that the module satisfies the
+    defining relations of the quotient.  The multiplication table, when
+    materialized, is the walk of the basis weights from the identity.
     """
     if basis_weights is None:
         basis_weights, basis_source, cert = _select_certified(datum, weyl)
@@ -368,11 +385,8 @@ def build_module(datum: RootDatum, weyl: WeylGroup, chars: CharacterSet,
     module.mult_matrices_inv = tuple(mult_inv)
 
     if m <= TABLE_LIMIT:
-        ops = [module.monomial_operator(b) for b in basis_weights]
-        if all(op.dtype == np.int64 for op in ops):
-            module.mult_table = np.stack(ops)
-        else:
-            module.mult_table = np.stack([op.astype(object) for op in ops])
+        module.mult_table = np.stack(
+            module._walk(np.eye(m, dtype=np.int64), module.basis_weights))
 
     if audit:
         _audit_module(module)
@@ -380,9 +394,29 @@ def build_module(datum: RootDatum, weyl: WeylGroup, chars: CharacterSet,
 
 
 def _audit_module(module: FlagKModule) -> None:
+    """Certify the module structure through its cyclic unit u.
+
+    1. ``unit-generates``: M^lambda_b u is the basis vector e_b for every
+       basis weight lambda_b, so u generates the module over the M_i.
+    2. ``mult-matrices-commute``: M_i M_j = M_j M_i for every pair.
+    3. Each relation P(M) = 0 of the quotient is checked on u alone:
+       ``character-relation`` chi_j(M) u = dim_j u for every fundamental
+       character, and ``augmentation-nilpotent`` (M_i - I)^N u = 0 with
+       N = |positive roots| + 1.  Since the M_i commute and u generates,
+       P(M) e_b = M^lambda_b P(M) u, so P(M) = 0 exactly when P(M) u = 0.
+
+    The multiplication table and every product are polynomials in these
+    commuting operators, so their commutativity, unit and associativity
+    follow exactly.
+    """
     datum = module.datum
     m = module.rank
-    eye = np.eye(m, dtype=np.int64)
+    u = module.unit_coords
+
+    for b, vec in enumerate(module._walk(u, module.basis_weights)):
+        if vec[b] != 1 or np.count_nonzero(vec) != 1:
+            raise CertificationError("unit-generates", witness={
+                "basis_index": b, "weight": module.basis_weights[b]})
 
     for i in range(datum.rank):
         for j in range(i + 1, datum.rank):
@@ -392,41 +426,24 @@ def _audit_module(module: FlagKModule) -> None:
                 raise CertificationError("mult-matrices-commute",
                                          witness={"generators": (i, j)})
 
-    # each fundamental character acts as dim * identity on the quotient
+    # each fundamental character acts as dim times the identity
     for j, (chi, dim) in enumerate(zip(module.chars.chars, module.chars.dims)):
-        acc = np.zeros((m, m), dtype=object)
-        for exps, coeff in chi.sorted_terms():
-            acc = acc + coeff * module.monomial_operator(exps).astype(object)
-        if not np.array_equal(linalg._shrink(acc), dim * eye):
+        terms = chi.sorted_terms()
+        images = module._walk(u, [exps for exps, _ in terms])
+        acc = linalg.dot_exact(np.stack(images, axis=1),
+                               np.array([coeff for _, coeff in terms], dtype=object))
+        if not np.array_equal(acc, dim * u.astype(object)):
             raise CertificationError("character-relation",
                                      witness={"fundamental": j})
 
     # (t_i - 1) is nilpotent of index at most |positive roots| + 1
     nil_bound = len(cartan.positive_roots(datum)) + 1
-    for i in range(datum.rank):
-        x = module.mult_matrices[i] - eye
-        power = x
-        steps = 1
-        while steps < nil_bound and np.any(power):
-            power = linalg.dot_exact(power, x)
-            steps += 1
+    eye = np.eye(m, dtype=np.int64)
+    for i, op in enumerate(module.mult_matrices):
+        x = op - eye
+        power = u
+        for _ in range(nil_bound):
+            power = linalg.dot_exact(x, power)
         if np.any(power):
             raise CertificationError("augmentation-nilpotent",
                                      witness={"generator": i, "bound": nil_bound})
-
-    if module.mult_table is not None:
-        table = module.mult_table
-        # commutativity of the structure constants: coords(b_u b_v) symmetric
-        if not np.array_equal(table, table.transpose(2, 1, 0)):
-            raise CertificationError("mult-table-commutative")
-        # the unit is a two-sided identity
-        if not np.array_equal(module.left_multiplier(module.unit_coords), eye):
-            raise CertificationError("unit-coords-identity")
-        rng = np.random.default_rng(2024)
-        for _ in range(8):
-            u, v, w = (int(x) for x in rng.integers(0, m, size=3))
-            left = module.multiply_coords(table[u][:, v], eye[w])
-            right = module.multiply_coords(eye[u], table[v][:, w])
-            if not np.array_equal(left, right):
-                raise CertificationError("mult-table-associative",
-                                         witness={"triple": (u, v, w)})

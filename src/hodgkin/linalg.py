@@ -6,6 +6,12 @@ could produce) and escalate to dtype=object — arbitrary-precision Python
 integers — the moment they might not.  Escalation is per matrix, so a
 reduction whose transforms swell keeps its main matrix on the fast path.
 
+Every matrix product goes through :func:`dot_exact`, which runs on
+float64 BLAS and is still exact: float64 holds every integer below 2^53,
+and an integer product whose entries, factors and partial sums all stay
+below 2^53 is computed without rounding, in whatever order the sums are
+taken.  Wider operands are cut into digits narrow enough for that bound.
+
 The Smith normal form keeps four transforms (U, U^-1, V, V^-1 with
 A = U D V) because downstream homology needs kernels *and* kernel
 coordinates; co-tracking inverses through elementary operations is far
@@ -22,6 +28,9 @@ from .errors import DefectError
 
 # Above this, an int64 slot is considered at risk for the next operation.
 _LIMIT = 1 << 62
+
+# float64 represents every integer of absolute value up to 2^53.
+_FLOAT_EXACT_BITS = 53
 
 
 # --- array plumbing ---------------------------------------------------------
@@ -40,7 +49,7 @@ def _shrink(arr: np.ndarray) -> np.ndarray:
     """Downcast an object array back to int64 when its entries allow."""
     if arr.dtype != object:
         return arr
-    if arr.size and int(np.abs(arr).max()) >= _LIMIT:
+    if arr.size and _maxabs(arr) >= _LIMIT:
         return arr
     return arr.astype(np.int64)
 
@@ -48,25 +57,81 @@ def _shrink(arr: np.ndarray) -> np.ndarray:
 def _maxabs(arr: np.ndarray) -> int:
     if arr.size == 0:
         return 0
-    if arr.dtype == object:
-        return max(abs(int(x)) for x in arr.flat)
-    return int(np.abs(arr).max())
+    return max(int(arr.max()), -int(arr.min()))
+
+
+def _digits(arr: np.ndarray, width: int, count: int):
+    """float64 digits d_j with ``arr == sum(d_j * 2^(width*j))``.
+
+    The digits are signed: each carries the sign of its entry and has
+    absolute value below 2^width, so the magnitudes of the digits sum,
+    weighted, to the magnitude of the entry.
+    """
+    if count == 1:
+        yield arr.astype(np.float64)
+        return
+    mag = np.abs(arr)
+    if mag.dtype == np.int64:
+        mag = mag.view(np.uint64)  # |-2^63| wraps in int64, not in uint64
+    negative = arr < 0
+    mask = (1 << width) - 1
+    for j in range(count):
+        digit = ((mag >> (width * j)) & mask).astype(np.int64)
+        yield np.where(negative, -digit, digit).astype(np.float64)
+
+
+def _split(abits: int, bbits: int, room: int) -> tuple[int, int]:
+    """Digit counts (na, nb) with the fewest products such that
+    ceil(abits / na) + ceil(bbits / nb) <= room."""
+    best = None
+    for na in range(1, abits + 1):
+        width = -(-abits // na)
+        if width >= room:
+            continue
+        nb = -(-bbits // (room - width))
+        if best is None or na * nb < best[0] * best[1]:
+            best = (na, nb)
+    return best
 
 
 def dot_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with a guaranteed-exact result.
+    """Exact product of 1-D or 2-D integer arrays, with ``np.dot`` shapes.
 
-    Stays in int64 when the worst-case accumulated value fits; otherwise
-    computes with Python integers and shrinks back if possible.
+    With k the inner dimension, max|a| * max|b| * k bounds every partial
+    sum.  Below 2^53 one float64 matmul is exact, whatever order BLAS
+    sums in.  Otherwise one operand or both are cut into signed digits
+    of a base 2^s chosen so that each digit product passes the same bound
+    with the fewest products.  These are shifted and added on the output
+    alone: in int64 when the bound is below 2^62, in Python integers
+    otherwise.  The result is int64 when its entries fit and dtype=object
+    when they do not.
     """
     a = as_int_array(a)
     b = as_int_array(b)
-    inner = a.shape[-1] if a.ndim > 1 else a.shape[0]
-    if a.dtype == np.int64 and b.dtype == np.int64:
-        bound = _maxabs(a) * _maxabs(b) * max(inner, 1)
-        if bound < _LIMIT:
-            return a @ b
-    return _shrink(np.dot(a.astype(object), b.astype(object)))
+    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
+        raise ValueError("dot_exact takes 1-D or 2-D operands")
+    a2 = a.reshape(1, -1) if a.ndim == 1 else a
+    b2 = b.reshape(-1, 1) if b.ndim == 1 else b
+    inner = a2.shape[1]
+    if b2.shape[0] != inner:
+        raise ValueError(f"dot_exact: shapes {a.shape} and {b.shape} not aligned")
+    amax, bmax = _maxabs(a2), _maxabs(b2)
+    bound = amax * bmax * inner
+    out = np.zeros((a2.shape[0], b2.shape[1]),
+                   dtype=np.int64 if bound < _LIMIT else object)
+    if bound:
+        abits, bbits = amax.bit_length(), bmax.bit_length()
+        na, nb = (1, 1) if bound < 1 << _FLOAT_EXACT_BITS else \
+            _split(abits, bbits, _FLOAT_EXACT_BITS - inner.bit_length())
+        wa, wb = -(-abits // na), -(-bbits // nb)
+        b_digits = list(_digits(b2, wb, nb))
+        for i, da in enumerate(_digits(a2, wa, na)):
+            for j, db in enumerate(b_digits):
+                # every partial sum is an integer below 2^53: the cast is exact
+                part = (da @ db).astype(np.int64)
+                out += part.astype(out.dtype, copy=False) << (wa * i + wb * j)
+    out = _shrink(out).reshape(a.shape[:-1] + b.shape[1:])
+    return out if out.ndim else out[()]
 
 
 def eye_like(n: int) -> np.ndarray:
@@ -150,28 +215,6 @@ def det_mod(a: np.ndarray, p: int) -> int:
     return det
 
 
-def rank_mod(a: np.ndarray, p: int) -> int:
-    """Rank over F_p (a lower bound for the rank over Q)."""
-    m = _mod_array(a, p)
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        nz = np.nonzero(m[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, col]), p - 2, p)
-        if rank + 1 < rows:
-            factors = (m[rank + 1:, col] * inv) % p
-            m[rank + 1:, col:] = (m[rank + 1:, col:] - np.outer(factors, m[rank, col:])) % p
-        rank += 1
-    return rank
-
-
 def _hadamard_bits(a: np.ndarray) -> int:
     """Upper bound on bit length of |det| via Hadamard's inequality."""
     bits = 1
@@ -234,52 +277,44 @@ def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray | None:
         m[col] = (m[col] * inv) % p
         others = [r for r in range(n) if r != col and m[r, col]]
         if others:
-            m[others] = (m[others] - np.outer(m[others, col], m[col])) % p
+            # the columns left of col hold reduced unit columns: m[col] is 0 there
+            m[others, col:] = (m[others, col:] - np.outer(m[others, col], m[col, col:])) % p
     return m[:, n:]
 
 
 def inverse_unimodular(a: np.ndarray) -> np.ndarray:
     """Exact inverse of an integer matrix with determinant +-1.
 
-    Reconstructs the (integral) inverse from enough modular inverses and
-    certifies ``a @ inverse == I`` exactly, growing the prime set until
-    the certificate holds.  Raises ``ValueError`` when the matrix is not
+    Reconstructs the (integral) inverse by CRT from modular inverses,
+    one prime at a time, and certifies ``a @ inverse == I`` exactly after
+    each prime, so it stops at the first modulus that covers the
+    inverse's entries.  Raises ``ValueError`` when the matrix is not
     unimodular (a unimodular matrix is invertible mod every prime).
     """
     a = as_int_array(a)
     n = a.shape[0]
     if n == 0:
         return a.reshape(0, 0)
-    ident = np.eye(n, dtype=object)
+    ident = np.eye(n, dtype=np.int64)
     # worst case: inverse entries are (n-1)-minors
     cap_bits = _hadamard_bits(a) + 8
-    batch = 4
     x = np.zeros((n, n), dtype=object)
     modulus = 1
-    used = 0
-    while True:
-        primes = crt_primes(used + batch)[used:]
-        for p in primes:
-            inv_p = _inverse_mod(a, p)
-            if inv_p is None:
-                raise ValueError("matrix is singular modulo a prime; not unimodular")
-            if modulus == 1:
-                x = inv_p.astype(object)
-                modulus = p
-                continue
-            m_inv = pow(modulus % p, p - 2, p)
-            delta = ((inv_p - x % p) * m_inv) % p
-            x = x + modulus * delta
-            modulus *= p
-        used += batch
-        batch *= 2
+    for count in range(1, cap_bits):
+        p = crt_primes(count)[-1]
+        inv_p = _inverse_mod(a, p)
+        if inv_p is None:
+            raise ValueError("matrix is singular modulo a prime; not unimodular")
+        delta = ((inv_p - x % p) * pow(modulus % p, p - 2, p)) % p
+        x = x + modulus * delta
+        modulus *= p
         # symmetric lift, then certify
-        half = modulus // 2
-        lifted = np.where(x > half, x - modulus, x)
+        lifted = _shrink(np.where(2 * x > modulus, x - modulus, x))
         if np.array_equal(dot_exact(a, lifted), ident):
-            return _shrink(lifted.astype(object))
+            return lifted
         if modulus.bit_length() > cap_bits:
-            raise ValueError("inverse reconstruction failed; matrix not unimodular")
+            break
+    raise ValueError("inverse reconstruction failed; matrix not unimodular")
 
 
 # --- Smith normal form ------------------------------------------------------
@@ -577,35 +612,6 @@ def hermite_rows(a) -> tuple[np.ndarray, np.ndarray]:
         pivot_row += 1
     return (_shrink(np.array(h, dtype=object)) if rows else np.zeros((0, cols), dtype=np.int64),
             _shrink(np.array(t, dtype=object)) if rows else np.zeros((0, 0), dtype=np.int64))
-
-
-def inv_small(a: np.ndarray) -> np.ndarray:
-    """Exact inverse of a small unimodular matrix via rational elimination."""
-    from fractions import Fraction
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    aug = [[Fraction(int(a[i, j])) for j in range(n)]
-           + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            x = aug[i][n + j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out[i, j] = int(x)
-    return _shrink(out)
 
 
 def audit_smith(a: np.ndarray, sm: SmithResult) -> None:

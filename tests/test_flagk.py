@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -137,3 +138,71 @@ def test_selected_basis_is_certified_for_all_small_types():
         weights, source = flagk.select_basis(datum, weyl)
         assert len(weights) == weyl.order, name
         assert source == "descent-twisted", name
+
+
+def _audit_failure(module):
+    with pytest.raises(CertificationError) as info:
+        flagk._audit_module(module)
+    return info.value.check, info.value.witness
+
+
+def test_audit_rejects_corrupted_copies(pipeline):
+    module = pipeline("B2").module
+    flagk._audit_module(module)  # the honest module passes
+    # basis weight (1, -2) is reached through column 2 of M_0, since u = e_2
+    bad = module.mult_matrices[0].copy()
+    bad[1, 2] += 1
+    copy = dataclasses.replace(module, mult_matrices=(bad,) + module.mult_matrices[1:])
+    assert _audit_failure(copy) == ("unit-generates",
+                                    {"basis_index": 4, "weight": (1, -2)})
+    bad = module.mult_matrices[0].copy()
+    bad[0, 0] += 1
+    copy = dataclasses.replace(module, mult_matrices=(bad,) + module.mult_matrices[1:])
+    assert _audit_failure(copy) == ("mult-matrices-commute", {"generators": (0, 1)})
+    unit = module.unit_coords.copy()
+    unit[3] += 1
+    copy = dataclasses.replace(module, unit_coords=unit)
+    assert _audit_failure(copy) == ("unit-generates",
+                                    {"basis_index": 0, "weight": (-1, 1)})
+    chars = dataclasses.replace(module.chars, dims=(module.chars.dims[0] + 1,)
+                                + module.chars.dims[1:])
+    copy = dataclasses.replace(module, chars=chars)
+    assert _audit_failure(copy) == ("character-relation", {"fundamental": 0})
+
+
+@pytest.fixture
+def operator_calls(monkeypatch):
+    """The weights that ``monomial_operator`` is called with."""
+    calls = []
+    original = flagk.FlagKModule.monomial_operator
+    monkeypatch.setattr(flagk.FlagKModule, "monomial_operator",
+                        lambda self, exps: calls.append(exps) or original(self, exps))
+    return calls
+
+
+def test_audit_builds_no_operators(pipeline, operator_calls):
+    module = pipeline("A3").module
+    operator_calls.clear()  # the build itself may have run just now
+    flagk._audit_module(module)
+    assert operator_calls == []
+
+
+def test_left_multiplier_walk_matches_table(pipeline):
+    module = pipeline("B2").module
+    untabled = dataclasses.replace(module, mult_table=None)
+    rng = random.Random(34)
+    for _ in range(5):
+        x = np.array([rng.randint(-3, 3) for _ in range(module.rank)])
+        assert untabled.left_multiplier(x).tolist() == module.left_multiplier(x).tolist()
+
+
+def test_c4_module_is_certified_past_the_table_limit(operator_calls):
+    datum = cartan.build_root_datum(cartan.parse_type("C4"))
+    weyl = cartan.generate_weyl(datum)
+    chars = laurent.fundamental_characters(datum, weyl)
+    module = flagk.build_module(datum, weyl, chars, audit=True)
+    assert module.rank == 384 > flagk.TABLE_LIMIT
+    assert module.mult_table is None
+    assert module.gram_det in (1, -1)
+    # only M_i and M_i^-1 are solved from the pairing
+    assert len(operator_calls) == 2 * datum.rank

@@ -57,6 +57,93 @@ def test_det_exact_huge_entries():
     assert linalg.det_exact(a) == big - 1
 
 
+def _reference_dot(a, b):
+    """Schoolbook product over Python integers, with np.dot's shapes."""
+    a2 = a.reshape(1, -1) if a.ndim == 1 else a
+    b2 = b.reshape(-1, 1) if b.ndim == 1 else b
+    out = [[sum(int(a2[i, t]) * int(b2[t, j]) for t in range(a2.shape[1]))
+            for j in range(b2.shape[1])] for i in range(a2.shape[0])]
+    if b.ndim == 1:
+        out = [row[0] for row in out]
+    return out[0] if a.ndim == 1 else out
+
+
+# float64 exactness (2^53), int64 headroom (2^62) and two narrower widths
+_EDGES = (1 << 26, 1 << 31, 1 << 53, 1 << 62)
+
+
+def _edge_operand(rng, shape, edge):
+    """Entries of both signs just below, at and just above ``edge``,
+    with small values and zeros mixed in; int64 or object at random."""
+    size = int(np.prod(shape))
+    vals = [rng.choice((-1, 1)) * rng.choice((edge - 1, edge, edge + 1,
+                                               rng.randint(0, 9)))
+            for _ in range(size)]
+    arr = np.array(vals, dtype=object).reshape(shape)
+    return arr if rng.random() < 0.4 else linalg._shrink(arr)
+
+
+def _assert_matches_reference(a, b):
+    got = linalg.dot_exact(a, b)
+    want = _reference_dot(a, b)
+    assert np.shape(got) == a.shape[:-1] + b.shape[1:]
+    assert np.asarray(got).tolist() == want
+    flat = np.asarray(want, dtype=object).ravel()
+    fits = all(abs(x) < 1 << 62 for x in flat)
+    if isinstance(got, np.ndarray):
+        assert got.dtype == (np.int64 if fits else object)
+    else:  # 1-D times 1-D: a scalar
+        assert isinstance(got, np.int64 if fits else int)
+
+
+def test_dot_exact_matches_python_integer_reference():
+    rng = random.Random(28)
+    for _ in range(300):
+        m, k, n = (rng.randint(0, 5) for _ in range(3))
+        left = (m, k) if rng.random() < 0.7 else (k,)
+        right = (k, n) if rng.random() < 0.7 else (k,)
+        a = _edge_operand(rng, left, rng.choice(_EDGES))
+        b = _edge_operand(rng, right, rng.choice(_EDGES))
+        _assert_matches_reference(a, b)
+
+
+def test_dot_exact_wide_inner_dimension_and_big_integers():
+    rng = random.Random(29)
+    huge = np.array([[rng.randint(-(1 << 200), 1 << 200) for _ in range(40)]
+                     for _ in range(3)], dtype=object)
+    small = _random_matrix(rng, 40, 4)
+    _assert_matches_reference(huge, small)
+    _assert_matches_reference(small.T, huge.T)
+    _assert_matches_reference(huge, huge.T)
+    # all-zero and empty operands give int64 zeros, whatever the other side
+    zeros = np.zeros((4, 40), dtype=np.int64)
+    assert linalg.dot_exact(zeros, huge.T).tolist() == [[0] * 3] * 4
+    assert linalg.dot_exact(zeros, huge.T).dtype == np.int64
+    assert linalg.dot_exact(np.zeros((2, 0), dtype=np.int64),
+                            np.zeros((0, 3), dtype=object)).tolist() == [[0] * 3] * 2
+    # int64 results that must come back as Python integers
+    top = np.full((2, 2), (1 << 62) + 1, dtype=np.int64)
+    _assert_matches_reference(top, top)
+    _assert_matches_reference(np.array([-(1 << 63)]), np.array([-1]))
+
+
+def test_dot_exact_cancelling_wide_operands_stay_int64():
+    # the shape of the C4 normal-equation solve: a 28-bit operand times a
+    # 27-bit one over k = 384, whose products cancel to a small result
+    rng = np.random.default_rng(30)
+    p = rng.integers(-(1 << 27), 1 << 27, size=(48, 190))
+    q = rng.integers(-(1 << 26), 1 << 26, size=(190, 40))
+    s = rng.integers(-9, 10, size=(48, 4))
+    t = rng.integers(-9, 10, size=(4, 40))
+    a = np.hstack([p, p, s])
+    b = np.vstack([q, -q, t])
+    assert a.shape[1] == 384
+    got = linalg.dot_exact(a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, s @ t)
+    assert np.asarray(got).tolist() == _reference_dot(a, b)
+
+
 def test_inverse_unimodular_roundtrip():
     rng = random.Random(22)
     for _ in range(20):
