@@ -356,8 +356,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--type", required=True, help="Cartan type, e.g. A2 or A2xA1")
         p.add_argument("--max-weyl-order", type=int, default=cartan.DEFAULT_WEYL_GUARD)
         p.add_argument("--cache-dir", default=None)
-        p.add_argument("--threads", type=int, default=0,
-                       help="accepted for compatibility; results are identical for any value")
 
     compute = sub.add_parser("compute", help="run the pipeline and emit a report")
     common(compute)

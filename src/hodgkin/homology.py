@@ -1,10 +1,12 @@
 """Exact homology of finite complexes of free abelian groups.
 
 A complex is a chain ``C_0 <- C_1 <- ... <- C_L`` of integer matrices
-whose consecutive products vanish.  Homology at each degree is split off
-two Smith decompositions: one for the outgoing boundary (cutting out the
-kernel), one for the incoming boundaries rewritten in kernel coordinates
-(reading off invariant factors).  All arithmetic is exact; every Smith
+whose consecutive products vanish.  Homology at each degree, with
+explicit cycles, is split off two Smith decompositions: one for the
+outgoing boundary (cutting out the kernel), one for the incoming
+boundaries rewritten in kernel coordinates (reading off invariant
+factors).  The table of Betti numbers and torsion alone needs only one
+Smith form per boundary map.  All arithmetic is exact; every Smith
 decomposition is audited by reconstruction before its factors are used.
 
 The one builder needed downstream is the Koszul complex of a family of
@@ -15,9 +17,10 @@ time with alternating signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,17 +214,51 @@ def homology_of(cx: ChainComplex, *, audit: bool = True) -> tuple[DegreeHomology
     return tuple(out)
 
 
-def ext_via_cochain(cx: ChainComplex, *, audit: bool = True) -> tuple[DegreeHomology, ...]:
-    """Cohomology of the dualized complex, indexed by cohomological degree.
+class HomologyRow(NamedTuple):
+    """Free rank and invariant factors of the homology at one degree."""
+
+    degree: int
+    betti: int
+    torsion: tuple[int, ...]
+
+
+def homology_table(cx: ChainComplex) -> tuple[HomologyRow, ...]:
+    """Betti numbers and torsion in every degree, lowest first, from one
+    audited Smith form per boundary map.
+
+    With r_p the rank of d_p (zero off the ends), the free rank of H_p is
+    rank C_p - r_p - r_{p+1}.  Its torsion is the torsion of coker d_{p+1}
+    = C_p / B_p: the quotient C_p / Z_p embeds in the free module C_{p-1},
+    so C_p / B_p is H_p = Z_p / B_p plus a free summand, and its torsion is
+    the invariant factors of d_{p+1} above 1.  No cycles are produced;
+    :func:`homology_of` does that.
+    """
+    forms = []
+    for d in cx.maps:
+        sm = linalg.smith(d)
+        linalg.audit_smith(d, sm)
+        forms.append(sm)
+    ranks = [0] + [sm.rank for sm in forms] + [0]   # ranks[p]: rank of d_p
+    factors = [sm.diag for sm in forms] + [[]]      # factors[p]: those of d_{p+1}
+    return tuple(
+        HomologyRow(degree=p,
+                    betti=cx.ranks[p] - ranks[p] - ranks[p + 1],
+                    torsion=tuple(int(x) for x in factors[p] if x > 1))
+        for p in range(cx.length + 1))
+
+
+def ext_via_cochain(cx: ChainComplex) -> tuple[HomologyRow, ...]:
+    """Cohomology table of the dualized complex, by cohomological degree.
 
     Dualizing a complex of free modules reverses the arrows and
-    transposes the matrices; the result is re-indexed so that entry p is
-    the degree-p cohomology.  For the Koszul complexes used here this
-    table must mirror the homology table — a cross-check the callers
-    enforce.
+    transposes the matrices; :func:`homology_table` of that complex is
+    re-indexed so that entry p is the degree-p cohomology.  Its torsion
+    is read off the invariant factors of the transposed maps, by the
+    argument given there.  For the Koszul complexes used here this table
+    must mirror the homology table — a cross-check the callers enforce.
     """
     length = cx.length
     rev_ranks = tuple(reversed(cx.ranks))
-    rev_maps = tuple(cx.maps[length - 1 - q].T.copy() for q in range(length))
-    rev = homology_of(ChainComplex(ranks=rev_ranks, maps=rev_maps), audit=audit)
-    return tuple(replace(h, degree=length - h.degree) for h in reversed(rev))
+    rev_maps = tuple(cx.maps[length - 1 - q].T for q in range(length))
+    rev = homology_table(ChainComplex(ranks=rev_ranks, maps=rev_maps))
+    return tuple(row._replace(degree=length - row.degree) for row in reversed(rev))

@@ -15,7 +15,11 @@ taken.  Wider operands are cut into digits narrow enough for that bound.
 The Smith normal form keeps four transforms (U, U^-1, V, V^-1 with
 A = U D V) because downstream homology needs kernels *and* kernel
 coordinates; co-tracking inverses through elementary operations is far
-cheaper than inverting afterwards.
+cheaper than inverting afterwards.  The two transforms that elementary
+operations would touch column by column (U and V^-1) are stored
+transposed, so every transform update runs over contiguous rows.  The
+pivot policy, and with it every transform entry, is independent of that
+storage.
 """
 
 from __future__ import annotations
@@ -349,15 +353,34 @@ class SmithResult:
         return d
 
 
+def _growth(qvec) -> tuple[np.ndarray, int, int]:
+    """The multipliers as an array, with exact max|q| and sum|q|."""
+    qarr = np.asarray(qvec)
+    if qarr.dtype != object:
+        qarr = qarr.astype(np.int64, copy=False)
+    qabs = np.abs(qarr)
+    qmax = int(qabs.max())
+    if qabs.dtype == object or qmax < _LIMIT // qabs.size:
+        return qarr, qmax, int(qabs.sum())
+    return qarr, qmax, int(qabs.astype(object).sum())  # the int64 sum could wrap
+
+
 class _Tracked:
-    """The working matrix plus transforms, with swell-guarded updates."""
+    """The working matrix plus transforms, with swell-guarded updates.
+
+    Q = V^-1 and Pinv = U are kept transposed (``qt``, ``pinvt``), so
+    that every transform update, swap and negation is a row operation on
+    a C-contiguous array; only the working matrix ``a`` takes column
+    operations.  The arithmetic is exact either way, so the stored
+    entries do not depend on the layout.
+    """
 
     def __init__(self, a: np.ndarray):
         rows, cols = a.shape
         self.mats: dict[str, np.ndarray] = {
             "a": a.copy(),
-            "p": eye_like(rows), "pinv": eye_like(rows),
-            "q": eye_like(cols), "qinv": eye_like(cols),
+            "p": eye_like(rows), "pinvt": eye_like(rows),
+            "qt": eye_like(cols), "qinv": eye_like(cols),
         }
         self.caps: dict[str, int | None] = {
             name: (_maxabs(m) if m.dtype == np.int64 else None)
@@ -385,20 +408,16 @@ class _Tracked:
 
     def row_axpy_batch(self, rows, src: int, qvec, lo: int = 0) -> None:
         """rows[i] -= qvec[i] * row[src] (on A and P; mirrored on Pinv)."""
-        qmax = int(max(abs(int(q)) for q in qvec))
+        qarr, qmax, qsum = _growth(qvec)
         if qmax == 0:
             return
-        qsum = int(sum(abs(int(q)) for q in qvec))
         self._prepare("a", qmax)
         self._prepare("p", qmax)
-        self._prepare("pinv", qsum)
-        a, p, pinv = self.mats["a"], self.mats["p"], self.mats["pinv"]
-        qcol = np.asarray(qvec, dtype=a.dtype)
-        a[rows, lo:] -= np.outer(qcol, a[src, lo:])
-        qcol = np.asarray(qvec, dtype=p.dtype)
-        p[rows, :] -= np.outer(qcol, p[src, :])
-        qcol = np.asarray(qvec, dtype=pinv.dtype)
-        pinv[:, src] += pinv[:, rows] @ qcol
+        self._prepare("pinvt", qsum)
+        a, p, pinvt = self.mats["a"], self.mats["p"], self.mats["pinvt"]
+        a[rows, lo:] -= np.outer(qarr.astype(a.dtype, copy=False), a[src, lo:])
+        p[rows, :] -= np.outer(qarr.astype(p.dtype, copy=False), p[src, :])
+        pinvt[src, :] += qarr.astype(pinvt.dtype, copy=False) @ pinvt[rows, :]
 
     def row_add(self, dst: int, src: int, lo: int = 0) -> None:
         self.row_axpy_batch([dst], src, [-1], lo=lo)
@@ -406,43 +425,37 @@ class _Tracked:
     def row_swap(self, r1: int, r2: int) -> None:
         if r1 == r2:
             return
-        a, p, pinv = self.mats["a"], self.mats["p"], self.mats["pinv"]
-        a[[r1, r2]] = a[[r2, r1]]
-        p[[r1, r2]] = p[[r2, r1]]
-        pinv[:, [r1, r2]] = pinv[:, [r2, r1]]
+        for name in ("a", "p", "pinvt"):
+            m = self.mats[name]
+            m[[r1, r2]] = m[[r2, r1]]
 
     def row_negate(self, r: int) -> None:
-        a, p, pinv = self.mats["a"], self.mats["p"], self.mats["pinv"]
-        a[r, :] *= -1
-        p[r, :] *= -1
-        pinv[:, r] *= -1
+        for name in ("a", "p", "pinvt"):
+            self.mats[name][r, :] *= -1
 
     # column operations: A <- A F, Q <- Q F, Qinv <- F^{-1} Qinv
 
     def col_axpy_batch(self, cols, src: int, qvec, lo: int = 0) -> None:
         """cols[i] -= qvec[i] * col[src] (on A and Q; mirrored on Qinv)."""
-        qmax = int(max(abs(int(q)) for q in qvec))
+        qarr, qmax, qsum = _growth(qvec)
         if qmax == 0:
             return
-        qsum = int(sum(abs(int(q)) for q in qvec))
         self._prepare("a", qmax)
-        self._prepare("q", qmax)
+        self._prepare("qt", qmax)
         self._prepare("qinv", qsum)
-        a, q, qinv = self.mats["a"], self.mats["q"], self.mats["qinv"]
-        qrow = np.asarray(qvec, dtype=a.dtype)
-        a[lo:, cols] -= np.outer(a[lo:, src], qrow)
-        qrow = np.asarray(qvec, dtype=q.dtype)
-        q[:, cols] -= np.outer(q[:, src], qrow)
-        qrow = np.asarray(qvec, dtype=qinv.dtype)
-        qinv[src, :] += qrow @ qinv[cols, :]
+        a, qt, qinv = self.mats["a"], self.mats["qt"], self.mats["qinv"]
+        a[lo:, cols] -= np.outer(a[lo:, src], qarr.astype(a.dtype, copy=False))
+        qt[cols, :] -= np.outer(qarr.astype(qt.dtype, copy=False), qt[src, :])
+        qinv[src, :] += qarr.astype(qinv.dtype, copy=False) @ qinv[cols, :]
 
     def col_swap(self, c1: int, c2: int) -> None:
         if c1 == c2:
             return
-        a, q, qinv = self.mats["a"], self.mats["q"], self.mats["qinv"]
+        a = self.mats["a"]
         a[:, [c1, c2]] = a[:, [c2, c1]]
-        q[:, [c1, c2]] = q[:, [c2, c1]]
-        qinv[[c1, c2]] = qinv[[c2, c1]]
+        for name in ("qt", "qinv"):
+            m = self.mats[name]
+            m[[c1, c2]] = m[[c2, c1]]
 
 
 def _nearest_quotients(vals: np.ndarray, p: int) -> np.ndarray:
@@ -455,8 +468,9 @@ def smith(a) -> SmithResult:
 
     Pivoting policy: the submatrix entry of least nonzero absolute value
     (first in row-major order on ties), which keeps intermediate swell
-    low in practice.  Batched row/column reductions keep the inner loops
-    inside numpy.
+    low in practice.  Callers depend on this exact sequence of pivots and
+    operations: the signs of downstream determinants follow from it.
+    Batched row/column reductions keep the inner loops inside numpy.
     """
     a = as_int_array(np.atleast_2d(a))
     rows, cols = a.shape
@@ -469,13 +483,9 @@ def smith(a) -> SmithResult:
         sub = work[t:, t:]
         if sub.size == 0:
             break
-        nonzero = sub != 0
-        if not nonzero.any():
+        flat = _pivot_index(sub)
+        if flat is None:
             break
-        absolute = np.abs(sub)
-        sentinel = int(absolute.max()) + 1
-        masked = np.where(nonzero, absolute, sentinel)
-        flat = int(np.argmin(masked))
         di, dj = divmod(flat, sub.shape[1])
         st.row_swap(t, t + di)
         st.col_swap(t, t + dj)
@@ -495,11 +505,29 @@ def smith(a) -> SmithResult:
     diag = [int(work[i, i]) for i in range(limit)]
     return SmithResult(
         diag=diag,
-        u=_shrink(mats["pinv"]),
+        u=_shrink(np.ascontiguousarray(mats["pinvt"].T)),
         u_inv=_shrink(mats["p"]),
         v=_shrink(mats["qinv"]),
-        v_inv=_shrink(mats["q"]),
+        v_inv=_shrink(np.ascontiguousarray(mats["qt"].T)),
     )
+
+
+def _pivot_index(sub: np.ndarray) -> int | None:
+    """Flat index of the least nonzero |entry|, first in row-major order;
+    None when every entry is zero.
+
+    On int64, one argmin over |x| - 1 viewed as uint64: zeros wrap to the
+    largest key, and every other key is at most 2^63 - 2.
+    """
+    key = np.abs(sub)
+    if key.dtype == object:
+        nonzero = key != 0
+        if not nonzero.any():
+            return None
+        return int(np.argmin(np.where(nonzero, key, int(key.max()) + 1)))
+    key -= 1
+    flat = int(np.argmin(key.view(np.uint64)))
+    return flat if sub.flat[flat] != 0 else None
 
 
 def _clear_column(st: _Tracked, t: int) -> None:

@@ -67,8 +67,6 @@ def test_reports_are_deterministic(tmp_path, capsys):
     _, cold, _ = _run(args, capsys)
     _, warm, _ = _run(args, capsys)   # second run hits the cache
     assert cold == warm
-    _, threaded, _ = _run(args + ["--threads", "4"], capsys)
-    assert threaded == cold
 
 
 def test_cache_round_trip_and_corruption(tmp_path, capsys):

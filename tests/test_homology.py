@@ -113,6 +113,65 @@ def test_reduce_rejects_non_cycles(pipeline):
         h.reduce(np.ones(run.chain_complex.ranks[1] + 1, dtype=np.int64))
 
 
+def _commuting_family(rng, size, count):
+    """Integer polynomials in one random matrix: they pairwise commute."""
+    base = np.array([[rng.randint(-2, 2) for _ in range(size)]
+                     for _ in range(size)], dtype=np.int64)
+    eye = np.eye(size, dtype=np.int64)
+    family = []
+    for _ in range(count):
+        op = rng.randint(-3, 3) * eye + rng.randint(-2, 2) * base
+        if rng.random() < 0.5:
+            op = op + linalg.dot_exact(base, base)
+        family.append(op)
+    return family
+
+
+def _table_of(hom):
+    return [(h.degree, h.betti, h.torsion) for h in hom]
+
+
+def _edge_complexes():
+    torsion = koszul_complex([np.array([[2, 1], [0, 2]])])
+    zero_map = ChainComplex(ranks=(2, 3, 1), maps=(
+        np.zeros((2, 3), dtype=np.int64), np.array([[2], [0], [4]])))
+    empty_degree = ChainComplex(ranks=(2, 0, 3), maps=(
+        np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)))
+    return [torsion, zero_map, empty_degree]
+
+
+def test_homology_table_matches_homology_of():
+    rng = random.Random(43)
+    complexes = _edge_complexes()
+    for _ in range(12):
+        complexes.append(koszul_complex(
+            _commuting_family(rng, rng.randint(1, 4), rng.randint(1, 3))))
+    assert any(any(h.torsion for h in homology.homology_of(cx)) for cx in complexes)
+    for cx in complexes:
+        assert _table_of(homology.homology_table(cx)) == \
+            _table_of(homology.homology_of(cx))
+    torsion, zero_map, empty_degree = complexes[:3]
+    assert _table_of(homology.homology_table(torsion)) == [(0, 0, (4,)), (1, 0, ())]
+    assert _table_of(homology.homology_table(zero_map)) == \
+        [(0, 2, ()), (1, 2, (2,)), (2, 0, ())]
+    assert _table_of(homology.homology_table(empty_degree)) == \
+        [(0, 2, ()), (1, 0, ()), (2, 3, ())]
+
+
+def test_ext_is_the_homology_of_the_dual_complex():
+    rng = random.Random(44)
+    complexes = _edge_complexes()
+    for _ in range(8):
+        complexes.append(koszul_complex(
+            _commuting_family(rng, rng.randint(1, 4), rng.randint(1, 3))))
+    for cx in complexes:
+        dual = ChainComplex(ranks=tuple(reversed(cx.ranks)),
+                            maps=tuple(m.T for m in reversed(cx.maps)))
+        want = [(cx.length - h.degree, h.betti, h.torsion)
+                for h in reversed(homology.homology_of(dual))]
+        assert _table_of(homology.ext_via_cochain(cx)) == want
+
+
 def test_ext_mirrors_homology(pipeline):
     run = pipeline("B2")
     ext = homology.ext_via_cochain(run.chain_complex)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -201,6 +202,72 @@ def test_smith_reconstruction_and_divisibility_random():
             n = t.shape[0]
             assert np.array_equal(linalg.dot_exact(t, t_inv),
                                   np.eye(n, dtype=np.int64))
+
+
+def test_pivot_search_takes_first_least_nonzero_magnitude():
+    rng = random.Random(29)
+    for k in range(40):
+        a = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), span=3)
+        if k % 4 == 1:
+            a = a.astype(object)
+        elif k % 4 == 3:
+            a = a.astype(object) * 2 ** 64  # past int64
+        live = [(abs(int(x)), i) for i, x in enumerate(a.flat) if x]
+        want = min(live)[1] if live else None
+        assert linalg._pivot_index(a) == want, a
+
+
+def test_growth_bounds_match_python_loops():
+    # the escalation caps depend on max|q| and sum|q| being exact, also
+    # where the int64 sum of |q| would wrap
+    rng = random.Random(31)
+    for k in range(60):
+        span = rng.choice((3, 1 << 40, (1 << 61) + 5, 1 << 70))
+        vals = [rng.randint(-span, span) for _ in range(rng.randint(1, 9))]
+        qvec = np.array(vals, dtype=object) if span > 1 << 62 else np.array(vals)
+        if k % 3 == 0:
+            qvec = vals  # a plain list, as row_add passes
+        _, qmax, qsum = linalg._growth(qvec)
+        assert qmax == max(abs(v) for v in vals)
+        assert qsum == sum(abs(v) for v in vals)
+
+
+def _smith_digest(a) -> str:
+    """sha256 over the diagonal and, entry by entry, the four transforms
+    (with their dtypes and shapes)."""
+    sm = linalg.smith(a)
+    h = hashlib.sha256()
+    h.update(",".join(str(int(d)) for d in sm.diag).encode())
+    for name in ("u", "u_inv", "v", "v_inv"):
+        mat = getattr(sm, name)
+        h.update(f"|{name}:{mat.dtype}:{mat.shape}:".encode())
+        h.update(",".join(str(int(x)) for x in mat.flat).encode())
+    return h.hexdigest()
+
+
+# Digests of the pivot sequence the golden exterior determinants were
+# computed with: a different (equally valid) Smith form changes their signs.
+_SMITH_DIGESTS = {
+    ("A3", 1): "aa915beb1744fb590c32e4b4797532e3d5f273bb1d6de02e96017f0b1413866f",
+    ("A3", 2): "365c89460526fb569201fe37ad28d82de3c2a0d8ecf23465d3b0fafdc3b55ce8",
+    ("A3", 3): "dc5110d1f35d12da5711c7ad7f52e297983b4c64e4bf3b655511057c534cd806",
+    ("B2", 1): "9eaef84fbbdb88aed4996f8066c5b73611f7d8e2493f09d8892434d4b3343476",
+    ("B2", 2): "78cf0855a20bc184f9dabefcee760a798e576a3d14c37314f7ebce04641460c0",
+    ("scaled", 0): "5b56de7d520c9756e08ddcfd60ed37589d628fd5e5490ad223b1bfbdaa0903cf",
+}
+
+
+def test_smith_transforms_are_pinned(pipeline):
+    for name in ("A3", "B2"):
+        for p, d in enumerate(pipeline(name).chain_complex.maps, 1):
+            assert _smith_digest(d) == _SMITH_DIGESTS[name, p], (name, p)
+    # entries near 2^60 drive the working matrix and the transforms to object
+    rng = np.random.default_rng(3)
+    a = rng.integers(-20, 21, size=(8, 8)).astype(np.int64) * 10 ** 14
+    sm = linalg.smith(a)
+    assert [m.dtype for m in (sm.u, sm.u_inv, sm.v, sm.v_inv)] == \
+        [object, object, np.int64, object]
+    assert _smith_digest(a) == _SMITH_DIGESTS["scaled", 0]
 
 
 def test_smith_diag_matches_determinant():
