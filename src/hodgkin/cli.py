@@ -79,10 +79,7 @@ def run_pipeline(type_string: str, *, max_weyl_order: int = cartan.DEFAULT_WEYL_
     run.timings_ms["cartan"] = (clock() - t0) * 1000.0
 
     t0 = clock()
-    cached = _load_cache(cache_dir, name) if cache_dir is not None else None
-    run.weyl = _weyl_from_cache(datum, cached) if cached else None
-    if run.weyl is None:
-        run.weyl = cartan.generate_weyl(datum, max_weyl_order)
+    run.weyl = cartan.generate_weyl(datum, max_weyl_order)
     run.timings_ms["weyl"] = (clock() - t0) * 1000.0
 
     try:
@@ -91,6 +88,7 @@ def run_pipeline(type_string: str, *, max_weyl_order: int = cartan.DEFAULT_WEYL_
         run.timings_ms["characters"] = (clock() - t0) * 1000.0
 
         t0 = clock()
+        cached = _load_cache(cache_dir, name) if cache_dir is not None else None
         basis = _basis_from_cache(datum, cached)
         module = None
         if basis is not None:
@@ -108,7 +106,7 @@ def run_pipeline(type_string: str, *, max_weyl_order: int = cartan.DEFAULT_WEYL_
         run.module = module
         run.timings_ms["module"] = (clock() - t0) * 1000.0
         if cache_dir is not None:
-            _save_cache(cache_dir, name, run.weyl, run.module)
+            _save_cache(cache_dir, name, run.module)
 
         t0 = clock()
         eye = np.eye(run.module.rank, dtype=np.int64)
@@ -154,13 +152,10 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _save_cache(cache_dir: Path, name: str, weyl: cartan.WeylGroup,
-                module: flagk.FlagKModule) -> None:
+def _save_cache(cache_dir: Path, name: str, module: flagk.FlagKModule) -> None:
     payload = {
         "format_version": torring.FORMAT_VERSION,
         "cartan_type": name,
-        "weyl_elements": [[list(row) for row in w] for w in weyl.elements],
-        "longest_word": list(weyl.longest_word),
         "basis_weights": [list(w) for w in module.basis_weights],
         "basis_source": module.basis_source,
         "gram": [[int(x) for x in row] for row in module.gram],
@@ -188,22 +183,6 @@ def _load_cache(cache_dir: Path, name: str) -> dict | None:
     if stored != _checksum(payload):
         return None
     return payload
-
-
-def _weyl_from_cache(datum: cartan.RootDatum, payload: dict) -> cartan.WeylGroup | None:
-    try:
-        elements = tuple(tuple(tuple(int(x) for x in row) for row in w)
-                         for w in payload["weyl_elements"])
-        word = tuple(int(i) for i in payload["longest_word"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    if len(elements) != cartan.weyl_order(datum.ctype):
-        return None
-    gens = tuple(cartan.simple_reflection(datum, i) for i in range(datum.rank))
-    pool = set(elements)
-    if cartan.identity_matrix(datum.rank) not in pool or any(g not in pool for g in gens):
-        return None
-    return cartan.WeylGroup(datum, elements, gens, word)
 
 
 def _basis_from_cache(datum: cartan.RootDatum, payload: dict | None):

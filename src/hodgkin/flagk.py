@@ -1,12 +1,14 @@
 """A free integer model of the K-module of the flag variety.
 
-The module is spanned by |W| monomial classes ``e^{lambda_w}``; the
-bilinear pairing ``<f, g> = augmentation(D_{w0}(f g))`` (push-pull along
-the flag bundle) is exactly computable, and a basis is certified by a
-unimodular Gram matrix — the freeness certificate that everything
-downstream leans on.  Multiplication by each variable ``t_i`` then
-becomes an integer matrix, turning the whole representation-ring quotient
-into finite exact linear algebra.
+The module is spanned by |W| monomial classes ``e^{lambda_w}``, one per
+Steinberg descent-twisted weight; the bilinear pairing
+``<f, g> = augmentation(D_{w0}(f g))`` (push-pull along the flag bundle)
+is exactly computable, and the basis is certified by a unimodular Gram
+matrix — the freeness certificate that everything downstream leans on.
+Multiplication by each variable ``t_i`` then becomes an integer matrix,
+turning the whole representation-ring quotient into finite exact linear
+algebra.  The unit generates the module over these commuting matrices,
+so every product is a walk of the basis weights by them.
 
 Two routes compute the pairing: the contractual composite of Demazure
 operators (:func:`pairing`), and an internal closed form used for bulk
@@ -26,12 +28,8 @@ import numpy as np
 
 from . import cartan, laurent, linalg
 from .cartan import RootDatum, Vector, WeylGroup
-from .errors import CertificationError, DefectError, ResourceGuardError
+from .errors import CertificationError, DefectError
 from .laurent import CharacterSet, LaurentPoly
-
-#: Above this many basis elements the full multiplication table is not
-#: materialized; products walk the multiplication matrices instead.
-TABLE_LIMIT = 200
 
 
 # --- the pairing ------------------------------------------------------------
@@ -58,13 +56,14 @@ def pairing_bilinear(datum: RootDatum, f: LaurentPoly, g: LaurentPoly) -> int:
     return total
 
 
-# --- basis selection --------------------------------------------------------
+# --- the basis -------------------------------------------------------------
 
 def steinberg_weights(datum: RootDatum, weyl: WeylGroup) -> tuple[Vector, ...]:
     """Descent-twisted weights ``w(-sum of omega_i over descents of w)``.
 
-    One weight per Weyl element; for every supported family their Gram
-    matrix turns out unimodular, which :func:`select_basis` certifies.
+    One weight per Weyl element.  For simply connected G they give a
+    basis of the module (Steinberg, Topology 14, 1975), so their Gram
+    matrix is unimodular; :func:`build_module` certifies that exactly.
     """
     n = datum.rank
     out = []
@@ -78,14 +77,6 @@ def steinberg_weights(datum: RootDatum, weyl: WeylGroup) -> tuple[Vector, ...]:
     return tuple(out)
 
 
-def _ball_weights(rank: int, radius: int):
-    """All weights with sup-norm <= radius, canonically ordered."""
-    from itertools import product
-    weights = list(product(range(-radius, radius + 1), repeat=rank))
-    weights.sort(key=lambda v: (max(abs(x) for x in v) if v else 0, v))
-    return weights
-
-
 def _gram_matrix(datum: RootDatum, weights) -> np.ndarray:
     rows = [
         [laurent.signed_weight_dimension(datum, tuple(x + y for x, y in zip(a, b)))
@@ -96,120 +87,26 @@ def _gram_matrix(datum: RootDatum, weights) -> np.ndarray:
 
 
 def _certify_gram(datum: RootDatum, weights):
-    """(gram, det, gram_inv) when the Gram matrix is unimodular, else None.
+    """(gram, det, gram_inv) for a Gram matrix certified unimodular.
 
     Unimodularity is certified through the exact integer inverse: an
     integer X with G @ X == I forces det(G) * det(X) == 1 over the
     integers, hence det(G) in {+1, -1}; the sign is then read off one
-    modular determinant.
+    modular determinant.  Otherwise ``gram-unimodular`` fails with the
+    exact determinant as witness.
     """
     gram = _gram_matrix(datum, weights)
     try:
         gram_inv = linalg.inverse_unimodular(gram)
     except ValueError:
-        return None
+        witness = {"determinant": linalg.det_exact(gram)}
+        raise CertificationError("gram-unimodular", witness=witness) from None
     p = linalg.crt_primes(1)[0]
     residue = linalg.det_mod(gram, p)
     det = 1 if residue == 1 else -1
     if residue not in (1, p - 1):
         raise DefectError("unimodular Gram with determinant residue != +-1")
     return gram, det, gram_inv
-
-
-def _select_certified(datum: RootDatum, weyl: WeylGroup, max_radius: int = 3):
-    """(weights, source, certificate) — the certificate from :func:`_certify_gram`."""
-    m = weyl.order
-    seeds = steinberg_weights(datum, weyl)
-    if len(set(seeds)) == m:
-        basis = tuple(sorted(set(seeds)))
-        cert = _certify_gram(datum, basis)
-        if cert is not None:
-            return basis, "descent-twisted", cert
-    basis, source = _greedy_ball_basis(datum, weyl, max_radius)
-    cert = _certify_gram(datum, basis)
-    if cert is None:
-        raise DefectError("basis with determinant +-1 failed the inverse certificate")
-    return basis, source, cert
-
-
-def select_basis(datum: RootDatum, weyl: WeylGroup,
-                 max_radius: int = 3) -> tuple[tuple[Vector, ...], str]:
-    """Choose |W| monomial weights with unimodular Gram matrix.
-
-    The descent-twisted candidates are tried first and accepted once
-    their Gram matrix is certified unimodular.  If that certificate
-    fails, a greedy search over growing sup-norm balls takes over:
-    candidates are accepted while they increase the rank (checked modulo
-    a large prime), then local swaps try to push |det| down to 1.
-    Exhausting the ball raises :class:`ResourceGuardError`.
-
-    Returns the weights in canonical (lexicographic) order together with
-    a label recording which strategy produced them.
-    """
-    weights, source, _ = _select_certified(datum, weyl, max_radius)
-    return weights, source
-
-
-def _greedy_ball_basis(datum: RootDatum, weyl: WeylGroup,
-                       max_radius: int) -> tuple[tuple[Vector, ...], str]:
-    m = weyl.order
-    p = 1_073_741_789  # < 2^30 so modular row operations stay in int64
-    for radius in range(1, max_radius + 1):
-        pool = _ball_weights(datum.rank, radius)
-        selected: list[Vector] = []
-        # greedy rank growth on the pairing matrix against the whole pool
-        echelon: list[np.ndarray] = []
-        pivots: list[int] = []
-        for cand in pool:
-            if len(selected) == m:
-                break
-            row = np.array(
-                [laurent.signed_weight_dimension(
-                    datum, tuple(x + y for x, y in zip(cand, other))) % p
-                 for other in pool],
-                dtype=np.int64)
-            for erow, piv in zip(echelon, pivots):
-                factor = row[piv]
-                if factor:
-                    row = (row - factor * erow) % p
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                continue
-            piv = int(nz[0])
-            row = (row * pow(int(row[piv]), p - 2, p)) % p
-            echelon.append(row)
-            pivots.append(piv)
-            selected.append(cand)
-        if len(selected) < m:
-            continue
-        basis = sorted(selected)
-        det = linalg.det_exact(_gram_matrix(datum, basis))
-        if det in (1, -1):
-            return tuple(basis), f"greedy-ball-r{radius}"
-        # local improvement: swap one member for one outsider when that
-        # strictly shrinks |det|
-        outsiders = [wt for wt in pool if wt not in set(basis)]
-        improved = True
-        while abs(det) != 1 and improved:
-            improved = False
-            for pos in range(m):
-                for cand in outsiders:
-                    trial = list(basis)
-                    trial[pos] = cand
-                    trial_det = linalg.det_exact(_gram_matrix(datum, sorted(trial)))
-                    if trial_det != 0 and abs(trial_det) < abs(det):
-                        basis = sorted(trial)
-                        det = trial_det
-                        improved = True
-                        break
-                if improved:
-                    break
-        if det in (1, -1):
-            return tuple(basis), f"greedy-ball-r{radius}"
-    raise ResourceGuardError(
-        f"no unimodular monomial basis found within sup-norm radius {max_radius}",
-        required=max_radius + 1,
-    )
 
 
 # --- the module -------------------------------------------------------------
@@ -224,9 +121,9 @@ class FlagKModule:
     ``t_i`` in basis coordinates (with ``mult_matrices_inv[i]`` its
     inverse).  The module is cyclic on ``unit_coords``: the basis class
     of weight lambda is M^lambda applied to the unit, where
-    M^lambda = prod_i mult_matrices[i]^lambda_i.  ``mult_table`` — when
-    materialized — stacks those operators M^lambda, one per basis class,
-    so every product is a polynomial in the multiplication matrices.
+    M^lambda = prod_i mult_matrices[i]^lambda_i.  Products are therefore
+    polynomials in the multiplication matrices, computed by
+    :meth:`products` from a walk of the basis weights.
     """
 
     datum: RootDatum
@@ -240,7 +137,6 @@ class FlagKModule:
     mult_matrices: tuple[np.ndarray, ...]
     mult_matrices_inv: tuple[np.ndarray, ...]
     unit_coords: np.ndarray
-    mult_table: np.ndarray | None
     _rhs_cache: dict = field(default_factory=dict, repr=False)
     _coords_cache: dict = field(default_factory=dict, repr=False)
 
@@ -318,21 +214,20 @@ class FlagKModule:
         descend(start, 0, list(range(len(weights))))
         return out
 
-    def left_multiplier(self, coords_vec: np.ndarray) -> np.ndarray:
-        """Matrix of multiplication by the class with those coordinates.
+    def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """All products of the columns of ``xs`` with those of ``ys``.
 
-        Without the table, column v is M^lambda_v applied to the class:
-        multiplication by x sends the basis class M^lambda_v u to
-        M^lambda_v x, because the multiplication matrices commute.
+        ``xs`` is m x kx and ``ys`` is m x ky; entry ``[:, i, j]`` of the
+        m x kx x ky result holds the coordinates of x_i * y_j.  The basis
+        class b is M^lambda_b u and the M_i commute, so
+        x * y = sum_b y_b M^lambda_b x: one walk of the basis weights
+        from all columns of ``xs`` at once, then one exact product with
+        ``ys``.
         """
-        vec = linalg.as_int_array(coords_vec)
-        if self.mult_table is not None:
-            flat = self.mult_table.reshape(self.rank, -1)
-            return linalg.dot_exact(vec, flat).reshape(self.rank, self.rank)
-        return linalg._shrink(np.stack(self._walk(vec, self.basis_weights), axis=1))
-
-    def multiply_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return linalg.dot_exact(self.left_multiplier(x), np.asarray(y))
+        kx, ky = xs.shape[1], ys.shape[1]
+        walked = np.stack(self._walk(xs, self.basis_weights))  # b, row, i
+        flat = walked.reshape(self.rank, -1).T                 # (row, i), b
+        return linalg.dot_exact(flat, ys).reshape(self.rank, kx, ky)
 
 
 def build_module(datum: RootDatum, weyl: WeylGroup, chars: CharacterSet,
@@ -341,30 +236,27 @@ def build_module(datum: RootDatum, weyl: WeylGroup, chars: CharacterSet,
                  basis_source: str = "cached") -> FlagKModule:
     """Assemble the free model and certify its structure.
 
-    Always certified: the Gram determinant is +-1 and the inverse is
-    exact; each multiplication matrix composed with its inverse gives the
+    The basis is ``basis_weights`` when given (a cached basis), else
+    the sorted Steinberg weights, labelled ``descent-twisted``.  Always
+    certified: the Gram determinant is +-1 and the inverse is exact
+    (else ``gram-unimodular`` fails, with the determinant as witness);
+    each multiplication matrix composed with its inverse gives the
     identity.  With ``audit=True`` :func:`_audit_module` also certifies
     that the unit generates the module and that the module satisfies the
-    defining relations of the quotient.  The multiplication table, when
-    materialized, is the walk of the basis weights from the identity.
+    defining relations of the quotient.
     """
     if basis_weights is None:
-        basis_weights, basis_source, cert = _select_certified(datum, weyl)
-    else:
-        cert = _certify_gram(datum, basis_weights)
-        if cert is None:
-            witness_det = linalg.det_exact(_gram_matrix(datum, basis_weights))
-            raise CertificationError("gram-unimodular",
-                                     witness={"determinant": witness_det})
+        basis_weights = tuple(sorted(steinberg_weights(datum, weyl)))
+        basis_source = "descent-twisted"
     m = len(basis_weights)
-    gram, det, gram_inv = cert
+    gram, det, gram_inv = _certify_gram(datum, basis_weights)
 
     module = FlagKModule(
         datum=datum, weyl=weyl, chars=chars,
         basis_weights=tuple(basis_weights), basis_source=basis_source,
         gram=gram, gram_det=int(det), gram_inv=gram_inv,
         mult_matrices=(), mult_matrices_inv=(),
-        unit_coords=np.zeros(m, dtype=np.int64), mult_table=None,
+        unit_coords=np.zeros(m, dtype=np.int64),
     )
 
     n = datum.rank
@@ -384,10 +276,6 @@ def build_module(datum: RootDatum, weyl: WeylGroup, chars: CharacterSet,
     module.mult_matrices = tuple(mult)
     module.mult_matrices_inv = tuple(mult_inv)
 
-    if m <= TABLE_LIMIT:
-        module.mult_table = np.stack(
-            module._walk(np.eye(m, dtype=np.int64), module.basis_weights))
-
     if audit:
         _audit_module(module)
     return module
@@ -405,9 +293,8 @@ def _audit_module(module: FlagKModule) -> None:
        N = |positive roots| + 1.  Since the M_i commute and u generates,
        P(M) e_b = M^lambda_b P(M) u, so P(M) = 0 exactly when P(M) u = 0.
 
-    The multiplication table and every product are polynomials in these
-    commuting operators, so their commutativity, unit and associativity
-    follow exactly.
+    Every product is a polynomial in these commuting operators, so its
+    commutativity, unit and associativity follow exactly.
     """
     datum = module.datum
     m = module.rank

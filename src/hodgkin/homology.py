@@ -116,19 +116,6 @@ def koszul_complex(operators) -> ChainComplex:
     return ChainComplex(ranks=ranks, maps=tuple(maps))
 
 
-def smith_normal_form(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U, D, V) with ``matrix == U @ D @ V``, U and V unimodular.
-
-    D is diagonal with nonnegative entries, each dividing the next.
-    The decomposition is audited on every call — exact reconstruction
-    plus inverse checks — before the factors are returned.
-    """
-    arr = np.atleast_2d(linalg.as_int_array(matrix))
-    result = linalg.smith(arr)
-    linalg.audit_smith(arr, result)
-    return result.u, result.d_matrix(arr.shape), result.v
-
-
 @dataclass(eq=False)
 class DegreeHomology:
     """Homology at one degree: free rank, invariant factors, explicit cycles.

@@ -138,10 +138,6 @@ def dot_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out if out.ndim else out[()]
 
 
-def eye_like(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
-
-
 # --- primes and CRT ---------------------------------------------------------
 
 _SMALL_PRIMES: list[int] = []
@@ -379,8 +375,8 @@ class _Tracked:
         rows, cols = a.shape
         self.mats: dict[str, np.ndarray] = {
             "a": a.copy(),
-            "p": eye_like(rows), "pinvt": eye_like(rows),
-            "qt": eye_like(cols), "qinv": eye_like(cols),
+            "p": np.eye(rows, dtype=np.int64), "pinvt": np.eye(rows, dtype=np.int64),
+            "qt": np.eye(cols, dtype=np.int64), "qinv": np.eye(cols, dtype=np.int64),
         }
         self.caps: dict[str, int | None] = {
             name: (_maxabs(m) if m.dtype == np.int64 else None)

@@ -53,13 +53,21 @@ def _merge_sign(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, tuple[int,
     return (-1 if inversions % 2 else 1), tuple(sorted(s + t))
 
 
+def _nonzero_blocks(chain: np.ndarray, subsets, m: int) -> list:
+    """(subset, block) for every block of ``chain`` that is not zero."""
+    blocks = ((s, chain[i * m:(i + 1) * m]) for i, s in enumerate(subsets))
+    return [(s, blk) for s, blk in blocks if np.any(blk)]
+
+
 def chain_product(a: TorClass, b: TorClass, module: FlagKModule,
                   homres: tuple[DegreeHomology, ...]) -> TorClass:
     """Product of two classes on their chain representatives.
 
     Block (S, T) of the inputs contributes to block S-union-T of the
     output when S and T are disjoint, with the sign that sorts the
-    concatenation and the module product on coordinates.  Degrees past
+    concatenation and the module product on coordinates.  The nonzero
+    blocks of each factor are stacked as columns, so one call to
+    :meth:`FlagKModule.products` gives every block product.  Degrees past
     the number of generators carry the zero module, so those products
     come back as the empty class of the summed degree.
     """
@@ -75,27 +83,20 @@ def chain_product(a: TorClass, b: TorClass, module: FlagKModule,
         raise ValueError("left chain does not match the module's complex")
     if b.chain.shape != (len(subsets_b) * m,):
         raise ValueError("right chain does not match the module's complex")
+    blocks_a = _nonzero_blocks(a.chain, subsets_a, m)
+    blocks_b = _nonzero_blocks(b.chain, subsets_b, m)
     out_index = {s: i for i, s in enumerate(homology.wedge_basis(n, deg))}
     out = np.zeros(len(out_index) * m, dtype=object)
-    left_cache: dict[int, np.ndarray] = {}
-    for si, s in enumerate(subsets_a):
-        block_a = a.chain[si * m:(si + 1) * m]
-        if not np.any(block_a):
-            continue
-        for tj, t in enumerate(subsets_b):
-            if set(s) & set(t):
-                continue
-            block_b = b.chain[tj * m:(tj + 1) * m]
-            if not np.any(block_b):
-                continue
-            left = left_cache.get(si)
-            if left is None:
-                left = module.left_multiplier(block_a)
-                left_cache[si] = left
-            sign, merged = _merge_sign(s, t)
-            k = out_index[merged]
-            prod = linalg.dot_exact(left, block_b).astype(object)
-            out[k * m:(k + 1) * m] += sign * prod
+    if blocks_a and blocks_b:
+        prods = module.products(np.stack([blk for _, blk in blocks_a], axis=1),
+                                np.stack([blk for _, blk in blocks_b], axis=1))
+        for i, (s, _) in enumerate(blocks_a):
+            for j, (t, _) in enumerate(blocks_b):
+                if set(s) & set(t):
+                    continue
+                sign, merged = _merge_sign(s, t)
+                k = out_index[merged]
+                out[k * m:(k + 1) * m] += sign * prods[:, i, j].astype(object)
     chain = linalg._shrink(out)
     return TorClass(degree=deg, chain=chain,
                     homology_coords=homres[deg].reduce(chain))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hodgkin import cli, torring
+from hodgkin import cartan, cli, torring
 from hodgkin.errors import CertificationError
 
 
@@ -76,10 +76,9 @@ def test_cache_round_trip_and_corruption(tmp_path, capsys):
     entry = tmp_path / "A2.json"
     assert entry.exists()
     payload = json.loads(entry.read_text())
-    for key in ("format_version", "cartan_type", "weyl_elements",
-                "longest_word", "basis_weights", "gram", "mult_matrices",
-                "checksum"):
-        assert key in payload, key
+    assert sorted(payload) == ["basis_source", "basis_weights", "cartan_type",
+                               "checksum", "format_version", "gram",
+                               "mult_matrices"]
 
     # flip one gram entry without fixing the checksum: entry is ignored
     payload["gram"][0][0] += 1
@@ -101,6 +100,35 @@ def test_cache_round_trip_and_corruption(tmp_path, capsys):
     entry.write_text("{ not json")
     _, recovered, _ = _run(args, capsys)
     assert recovered == fresh
+
+
+def _forge(entry, **fields):
+    """Rewrite a cache entry with the given fields and a valid checksum."""
+    payload = json.loads(entry.read_text())
+    payload.pop("checksum")
+    payload.update(fields)
+    payload["checksum"] = cli._checksum(payload)
+    entry.write_text(json.dumps(payload, sort_keys=True))
+
+
+def test_cache_never_supplies_the_weyl_group(tmp_path, capsys):
+    # entries written before the Weyl group was dropped from the cache
+    # carry it; a forged one must not reach the pipeline
+    args = ["compute", "--type", "A2", "--no-timings",
+            "--cache-dir", str(tmp_path)]
+    code, fresh, _ = _run(args, capsys)
+    assert code == 0
+    weyl = cartan.generate_weyl(cartan.build_root_datum(cartan.parse_type("A2")))
+    elements = [[list(row) for row in w] for w in weyl.elements]
+    word = list(weyl.longest_word)
+    forged = [[[2, 0], [0, 1]]] + elements[1:]  # elements[0] is no generator
+    entry = tmp_path / "A2.json"
+    _forge(entry, weyl_elements=elements, longest_word=[0])
+    assert _run(args, capsys)[:2] == (0, fresh)
+    # a stale basis makes the pipeline select a new one from the elements
+    _forge(entry, weyl_elements=forged, longest_word=word,
+           basis_weights=[[0, 0]] * len(elements))
+    assert _run(args, capsys)[:2] == (0, fresh)
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):

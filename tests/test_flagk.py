@@ -106,19 +106,29 @@ def test_augmentation_operators_are_nilpotent(pipeline):
         assert not np.any(power)
 
 
+def _product(module, x, y):
+    return module.products(np.asarray(x)[:, None], np.asarray(y)[:, None])[:, 0, 0]
+
+
 def test_module_product_is_commutative_and_associative(pipeline):
     module = pipeline("B2").module
     rng = random.Random(33)
     for _ in range(10):
-        x = np.array([rng.randint(-3, 3) for _ in range(module.rank)])
-        y = np.array([rng.randint(-3, 3) for _ in range(module.rank)])
-        z = np.array([rng.randint(-3, 3) for _ in range(module.rank)])
-        xy = module.multiply_coords(x, y)
-        assert xy.tolist() == module.multiply_coords(y, x).tolist()
-        assert module.multiply_coords(xy, z).tolist() == \
-            module.multiply_coords(x, module.multiply_coords(y, z)).tolist()
-        assert module.multiply_coords(module.unit_coords, x).tolist() == \
-            x.astype(object).tolist()
+        x, y, z = (np.array([rng.randint(-3, 3) for _ in range(module.rank)])
+                   for _ in range(3))
+        xy = _product(module, x, y)
+        assert xy.tolist() == _product(module, y, x).tolist()
+        assert _product(module, xy, z).tolist() == \
+            _product(module, x, _product(module, y, z)).tolist()
+        assert _product(module, module.unit_coords, x).tolist() == x.tolist()
+    # one call on stacked columns gives every pairwise product
+    xs = np.array([[rng.randint(-3, 3) for _ in range(3)] for _ in range(module.rank)])
+    ys = np.array([[rng.randint(-3, 3) for _ in range(2)] for _ in range(module.rank)])
+    table = module.products(xs, ys)
+    assert table.shape == (module.rank, 3, 2)
+    for i in range(3):
+        for j in range(2):
+            assert table[:, i, j].tolist() == _product(module, xs[:, i], ys[:, j]).tolist()
 
 
 def test_degenerate_basis_is_rejected():
@@ -131,13 +141,28 @@ def test_degenerate_basis_is_rejected():
     assert info.value.witness["determinant"] == 0
 
 
-def test_selected_basis_is_certified_for_all_small_types():
+def test_selected_basis_is_certified_for_all_small_types(pipeline):
     for name in ("A1", "A2", "A3", "B2", "G2", "A1xA1", "B3", "C3"):
-        datum = cartan.build_root_datum(cartan.parse_type(name))
-        weyl = cartan.generate_weyl(datum)
-        weights, source = flagk.select_basis(datum, weyl)
-        assert len(weights) == weyl.order, name
-        assert source == "descent-twisted", name
+        run = pipeline(name)
+        module = run.module
+        assert module.basis_source == "descent-twisted", name
+        assert module.basis_weights == \
+            tuple(sorted(flagk.steinberg_weights(run.datum, run.weyl))), name
+        assert module.rank == run.weyl.order, name
+        assert module.gram_det in (1, -1), name
+
+
+def test_repeated_steinberg_weight_fails_gram_certificate(monkeypatch):
+    datum = cartan.build_root_datum(cartan.parse_type("A2"))
+    weyl = cartan.generate_weyl(datum)
+    chars = laurent.fundamental_characters(datum, weyl)
+    honest = flagk.steinberg_weights(datum, weyl)
+    monkeypatch.setattr(flagk, "steinberg_weights",
+                        lambda datum, weyl: (honest[0],) + honest[:-1])
+    with pytest.raises(CertificationError) as info:
+        flagk.build_module(datum, weyl, chars)
+    assert info.value.check == "gram-unimodular"
+    assert info.value.witness == {"determinant": 0}
 
 
 def _audit_failure(module):
@@ -187,13 +212,23 @@ def test_audit_builds_no_operators(pipeline, operator_calls):
     assert operator_calls == []
 
 
-def test_left_multiplier_walk_matches_table(pipeline):
-    module = pipeline("B2").module
-    untabled = dataclasses.replace(module, mult_table=None)
+def _random_laurent(rng, nvars):
+    terms = {tuple(rng.randint(-2, 2) for _ in range(nvars)): rng.randint(-3, 3)
+             for _ in range(3)}
+    return LaurentPoly(nvars, terms)
+
+
+def test_products_match_pairing_route(pipeline):
+    # coords(f * g) is solved from the pairing; products walks the M_i
     rng = random.Random(34)
-    for _ in range(5):
-        x = np.array([rng.randint(-3, 3) for _ in range(module.rank)])
-        assert untabled.left_multiplier(x).tolist() == module.left_multiplier(x).tolist()
+    for name in ("B2", "A3"):
+        run = pipeline(name)
+        module = run.module
+        for _ in range(4):
+            f = _random_laurent(rng, run.datum.rank)
+            g = _random_laurent(rng, run.datum.rank)
+            assert _product(module, module.coords(f), module.coords(g)).tolist() == \
+                module.coords(f * g).tolist(), name
 
 
 def test_c4_module_is_certified_past_the_table_limit(operator_calls):
@@ -201,8 +236,7 @@ def test_c4_module_is_certified_past_the_table_limit(operator_calls):
     weyl = cartan.generate_weyl(datum)
     chars = laurent.fundamental_characters(datum, weyl)
     module = flagk.build_module(datum, weyl, chars, audit=True)
-    assert module.rank == 384 > flagk.TABLE_LIMIT
-    assert module.mult_table is None
+    assert module.rank == 384
     assert module.gram_det in (1, -1)
     # only M_i and M_i^-1 are solved from the pairing
     assert len(operator_calls) == 2 * datum.rank

@@ -69,13 +69,6 @@ def test_koszul_coprime_pair_is_exact():
     assert [h.torsion for h in res] == [(), (), ()]
 
 
-def test_smith_wrapper_reconstructs():
-    rng = random.Random(41)
-    a = np.array([[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)])
-    u, d, v = homology.smith_normal_form(a)
-    assert np.array_equal(linalg.dot_exact(linalg.dot_exact(u, d), v), a)
-
-
 def test_homology_of_a1_pipeline(pipeline):
     run = pipeline("A1")
     res = run.homology
