@@ -164,7 +164,15 @@ def _save_cache(cache_dir: Path, name: str, module: flagk.FlagKModule) -> None:
     }
     payload["checksum"] = _checksum(payload)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    _cache_file(cache_dir, name).write_text(json.dumps(payload, sort_keys=True))
+    # write beside the entry, then rename over it: a reader sees the old
+    # entry or the new one, never a partial file
+    target = _cache_file(cache_dir, name)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, sort_keys=True))
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load_cache(cache_dir: Path, name: str) -> dict | None:

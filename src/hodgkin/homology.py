@@ -5,9 +5,11 @@ whose consecutive products vanish.  Homology at each degree, with
 explicit cycles, is split off two Smith decompositions: one for the
 outgoing boundary (cutting out the kernel), one for the incoming
 boundaries rewritten in kernel coordinates (reading off invariant
-factors).  The table of Betti numbers and torsion alone needs only one
-Smith form per boundary map.  All arithmetic is exact; every Smith
-decomposition is audited by reconstruction before its factors are used.
+factors).  The table of Betti numbers and torsion alone needs only the
+rank and invariant factors of each boundary map, which sparse
+elimination of unit pivots finds before one Smith form of what is left.
+All arithmetic is exact; every Smith decomposition is audited by
+reconstruction before its factors are used.
 
 The one builder needed downstream is the Koszul complex of a family of
 commuting operators: degree p is one copy of the underlying module per
@@ -17,6 +19,7 @@ time with alternating signs.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -167,6 +170,12 @@ def homology_of(cx: ChainComplex, *, audit: bool = True) -> tuple[DegreeHomology
     splits the free part from the invariant factors.  Free generators
     are Hermite-canonicalized so re-runs produce identical bases, and
     each degree ends with two retraction checks.
+
+    This stays on dense Smith forms: their pivots choose the complement
+    of the boundaries in the cycles, the canonicalization keeps that
+    choice, and the signs of the exterior determinants follow from it.
+    Another elimination order would give an equally valid basis and
+    different reported signs.
     """
     out = []
     for p in range(cx.length + 1):
@@ -209,24 +218,95 @@ class HomologyRow(NamedTuple):
     torsion: tuple[int, ...]
 
 
-def homology_table(cx: ChainComplex) -> tuple[HomologyRow, ...]:
-    """Betti numbers and torsion in every degree, lowest first, from one
-    audited Smith form per boundary map.
+def _eliminate_unit_pivots(d: np.ndarray) -> tuple[int, np.ndarray]:
+    """Eliminate +-1 pivots of ``d``; return their number and the residual.
 
-    With r_p the rank of d_p (zero off the ends), the free rank of H_p is
-    rank C_p - r_p - r_{p+1}.  Its torsion is the torsion of coker d_{p+1}
-    = C_p / B_p: the quotient C_p / Z_p embeds in the free module C_{p-1},
-    so C_p / B_p is H_p = Z_p / B_p plus a free summand, and its torsion is
-    the invariant factors of d_{p+1} above 1.  No cycles are produced;
-    :func:`homology_of` does that.
+    A +-1 entry at (i, j) splits off a 1 from the Smith form: row
+    operations clear the rest of column j, column operations the rest of
+    row i, and what is left once row i and column j are dropped is an
+    integer matrix (the Schur complement) with the remaining invariant
+    factors.  Pivots are taken in Markowitz order, least
+    (len(row) - 1) * (len(column) - 1) first, ties to the lower row and
+    then column, from a heap whose stale costs are refreshed when popped.
+    The matrix is held as a dict of rows in Python integers.  The residual
+    keeps only the rows and columns that still hold an entry; zero rows
+    and columns add nothing to the rank or the invariant factors.
     """
-    forms = []
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    nz_rows, nz_cols = np.nonzero(d)
+    for i, j, v in zip(nz_rows.tolist(), nz_cols.tolist(), d[nz_rows, nz_cols].tolist()):
+        rows.setdefault(i, {})[j] = int(v)
+        cols.setdefault(j, set()).add(i)
+
+    def cost(i: int, j: int) -> int:
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    heap = [(cost(i, j), i, j) for i, row in rows.items()
+            for j, v in row.items() if v in (1, -1)]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        old, i, j = heapq.heappop(heap)
+        row = rows.get(i)
+        if row is None or row.get(j) not in (1, -1):
+            continue  # its row was a pivot row, or the entry changed
+        now = cost(i, j)
+        if now != old:
+            heapq.heappush(heap, (now, i, j))
+            continue
+        del rows[i]
+        sign = row.pop(j)
+        for c in row:
+            cols[c].discard(i)
+        cols[j].discard(i)
+        for k in cols.pop(j):
+            target = rows[k]
+            factor = target.pop(j) * sign
+            for c, v in row.items():
+                new = target.get(c, 0) - factor * v
+                if new:
+                    if c not in target:
+                        cols[c].add(k)
+                    target[c] = new
+                    if new in (1, -1):
+                        heapq.heappush(heap, (cost(k, c), k, c))
+                elif c in target:
+                    del target[c]
+                    cols[c].discard(k)
+        pivots += 1
+    live_rows = sorted(i for i, row in rows.items() if row)
+    live_cols = sorted(j for j, s in cols.items() if s)
+    where = {j: n for n, j in enumerate(live_cols)}
+    residual = [[0] * len(live_cols) for _ in live_rows]
+    for n, i in enumerate(live_rows):
+        for j, v in rows[i].items():
+            residual[n][where[j]] = v
+    return pivots, linalg.as_int_array(residual).reshape(len(live_rows), len(live_cols))
+
+
+def homology_table(cx: ChainComplex) -> tuple[HomologyRow, ...]:
+    """Betti numbers and torsion in every degree, lowest first.
+
+    Each boundary map goes through :func:`_eliminate_unit_pivots`, then
+    one audited Smith form of what is left: its rank is the number of
+    unit pivots plus the residual's rank, and its invariant factors above
+    1 are the residual's.  With r_p the rank of d_p (zero off the ends),
+    the free rank of H_p is rank C_p - r_p - r_{p+1}.  Its torsion is the
+    torsion of coker d_{p+1} = C_p / B_p: the quotient C_p / Z_p embeds in
+    the free module C_{p-1}, so C_p / B_p is H_p = Z_p / B_p plus a free
+    summand, and its torsion is the invariant factors of d_{p+1} above 1.
+    No cycles are produced; :func:`homology_of` does that.
+    """
+    ranks, factors = [0], []    # ranks[p]: rank of d_p; factors[p]: those of d_{p+1}
     for d in cx.maps:
-        sm = linalg.smith(d)
-        linalg.audit_smith(d, sm)
-        forms.append(sm)
-    ranks = [0] + [sm.rank for sm in forms] + [0]   # ranks[p]: rank of d_p
-    factors = [sm.diag for sm in forms] + [[]]      # factors[p]: those of d_{p+1}
+        pivots, residual = _eliminate_unit_pivots(d)
+        sm = linalg.smith(residual)
+        linalg.audit_smith(residual, sm)
+        ranks.append(pivots + sm.rank)
+        factors.append(sm.diag)
+    ranks.append(0)
+    factors.append([])
     return tuple(
         HomologyRow(degree=p,
                     betti=cx.ranks[p] - ranks[p] - ranks[p + 1],
@@ -243,6 +323,9 @@ def ext_via_cochain(cx: ChainComplex) -> tuple[HomologyRow, ...]:
     is read off the invariant factors of the transposed maps, by the
     argument given there.  For the Koszul complexes used here this table
     must mirror the homology table — a cross-check the callers enforce.
+    The two sides share no elimination: the ranks and factors here come
+    from unit-pivot elimination and an exactly audited Smith form of
+    the residual, those of :func:`homology_of` from its dense Smith forms.
     """
     length = cx.length
     rev_ranks = tuple(reversed(cx.ranks))

@@ -1,10 +1,13 @@
 """Exact integer linear algebra on dense numpy arrays.
 
 Everything here is exact.  Arrays live in int64 while entries provably
-fit (a conservative cap tracks the largest absolute value an operation
-could produce) and escalate to dtype=object — arbitrary-precision Python
-integers — the moment they might not.  Escalation is per matrix, so a
-reduction whose transforms swell keeps its main matrix on the fast path.
+fit and escalate to dtype=object — arbitrary-precision Python integers —
+the moment they might not.  In the Smith form a cap per matrix bounds
+its entries; each update raises it by what that update can add, from the
+multipliers and the source row or column it reads, and a cap that would
+reach 2^62 is re-measured before the matrix escalates.  Escalation is per
+matrix, so a reduction whose transforms swell keeps its main matrix on
+the fast path.
 
 Every matrix product goes through :func:`dot_exact`, which runs on
 float64 BLAS and is still exact: float64 holds every integer below 2^53,
@@ -17,9 +20,12 @@ A = U D V) because downstream homology needs kernels *and* kernel
 coordinates; co-tracking inverses through elementary operations is far
 cheaper than inverting afterwards.  The two transforms that elementary
 operations would touch column by column (U and V^-1) are stored
-transposed, so every transform update runs over contiguous rows.  The
-pivot policy, and with it every transform entry, is independent of that
-storage.
+transposed, so every transform update runs over contiguous rows.  Rows
+of U^T and V that are still rows of the identity are known by the column
+of their 1, so adding them is a scatter rather than a product, and every
+other update skips the columns where its source is zero.  The pivot
+policy, and with it every transform entry, is independent of that
+storage and of which provably unchanged entries an update skips.
 """
 
 from __future__ import annotations
@@ -366,9 +372,25 @@ class _Tracked:
 
     Q = V^-1 and Pinv = U are kept transposed (``qt``, ``pinvt``), so
     that every transform update, swap and negation is a row operation on
-    a C-contiguous array; only the working matrix ``a`` takes column
-    operations.  The arithmetic is exact either way, so the stored
-    entries do not depend on the layout.
+    a C-contiguous array.  The arithmetic is exact either way, so the
+    stored entries do not depend on the layout or on which entries an
+    update skips because they provably do not change.
+
+    Unit rows: U^T and V start as identities, and a row of either stays a
+    row of the permuted identity until an update writes into it (it is
+    made a pivot row, ``row_add`` changes it, or it is negated); swaps
+    only move rows.  ``unit[name][i]`` is the column of the 1 in row i
+    while that row is clean, -1 once it is dirty.  Adding multiples of
+    clean rows is then a scatter of the multipliers; only dirty rows are
+    gathered for a product.  The other updates, ``m[dst] -= q (x) m[src]``,
+    run on the nonzero columns of the source line alone.
+
+    Swell guard: ``caps[name]`` bounds every entry of an int64 matrix.
+    An update raises it by the most it can add to one entry, computed from
+    the multipliers and the source line that actually move (not by a
+    multiple of the whole cap).  When the sum reaches 2^62 the cap is
+    re-measured, and the matrix escalates to dtype=object only if the
+    measured bound still reaches 2^62.
     """
 
     def __init__(self, a: np.ndarray):
@@ -382,23 +404,51 @@ class _Tracked:
             name: (_maxabs(m) if m.dtype == np.int64 else None)
             for name, m in self.mats.items()
         }
+        self.unit: dict[str, np.ndarray] = {
+            "pinvt": np.arange(rows), "qinv": np.arange(cols)}
 
     def _prepare(self, name: str, growth: int) -> None:
-        """Make sure `cap * (1 + growth)` fits; escalate to object if not."""
+        """Make sure the entries of int64 matrix `name` stay below 2^62 when
+        an update adds at most `growth` to any of them; escalate if not."""
         cap = self.caps[name]
-        if cap is None:
+        if cap + growth >= _LIMIT:
+            cap = _maxabs(self.mats[name])
+            if cap + growth >= _LIMIT:
+                self.mats[name] = self.mats[name].astype(object)
+                self.caps[name] = None
+                return
+        self.caps[name] = cap + growth
+
+    def _sub_outer(self, name: str, dst: np.ndarray, src: int, qarr: np.ndarray,
+                   qmax: int, lo: int = 0, transpose: bool = False) -> None:
+        """m[dst, j] -= q * m[src, j] for j >= lo where m[src, j] != 0
+        (m is the matrix, or its transpose for a column update)."""
+        m = self.mats[name].T if transpose else self.mats[name]
+        support = lo + np.flatnonzero(m[src, lo:])
+        if support.size == 0:
             return
-        bound = cap * (1 + growth)
-        if bound < _LIMIT:
-            self.caps[name] = bound
-            return
-        true_max = _maxabs(self.mats[name])
-        bound = true_max * (1 + growth)
-        if bound < _LIMIT:
-            self.caps[name] = bound
-            return
-        self.mats[name] = self.mats[name].astype(object)
-        self.caps[name] = None
+        if self.caps[name] is not None:
+            self._prepare(name, qmax * _maxabs(m[src, support]))
+            m = self.mats[name].T if transpose else self.mats[name]
+        q = qarr.astype(m.dtype, copy=False)
+        m[np.ix_(dst, support)] -= np.outer(q, m[src, support])
+
+    def _add_rows(self, name: str, dst: int, rows: np.ndarray, qarr: np.ndarray,
+                  qsum: int) -> None:
+        """m[dst] += q @ m[rows]: a scatter for the clean rows, a product
+        over the dirty ones; row dst is dirty afterwards."""
+        unit = self.unit[name]
+        ones = unit[rows]
+        clean = ones >= 0
+        dirty = rows[~clean]
+        if self.caps[name] is not None:
+            self._prepare(name, qsum * max(1, _maxabs(self.mats[name][dirty])))
+        m = self.mats[name]
+        q = qarr.astype(m.dtype, copy=False)
+        m[dst, ones[clean]] += q[clean]
+        if dirty.size:
+            m[dst] += q[~clean] @ m[dirty]
+        unit[dst] = -1
 
     # row operations: A <- E A, P <- E P, Pinv <- Pinv E^{-1}
 
@@ -407,13 +457,10 @@ class _Tracked:
         qarr, qmax, qsum = _growth(qvec)
         if qmax == 0:
             return
-        self._prepare("a", qmax)
-        self._prepare("p", qmax)
-        self._prepare("pinvt", qsum)
-        a, p, pinvt = self.mats["a"], self.mats["p"], self.mats["pinvt"]
-        a[rows, lo:] -= np.outer(qarr.astype(a.dtype, copy=False), a[src, lo:])
-        p[rows, :] -= np.outer(qarr.astype(p.dtype, copy=False), p[src, :])
-        pinvt[src, :] += qarr.astype(pinvt.dtype, copy=False) @ pinvt[rows, :]
+        rows = np.asarray(rows, dtype=np.intp)
+        self._sub_outer("a", rows, src, qarr, qmax, lo)
+        self._sub_outer("p", rows, src, qarr, qmax)
+        self._add_rows("pinvt", src, rows, qarr, qsum)
 
     def row_add(self, dst: int, src: int, lo: int = 0) -> None:
         self.row_axpy_batch([dst], src, [-1], lo=lo)
@@ -421,36 +468,37 @@ class _Tracked:
     def row_swap(self, r1: int, r2: int) -> None:
         if r1 == r2:
             return
-        for name in ("a", "p", "pinvt"):
-            m = self.mats[name]
+        for m in (self.mats["a"], self.mats["p"], self.mats["pinvt"], self.unit["pinvt"]):
             m[[r1, r2]] = m[[r2, r1]]
 
     def row_negate(self, r: int) -> None:
         for name in ("a", "p", "pinvt"):
             self.mats[name][r, :] *= -1
+        self.unit["pinvt"][r] = -1
 
     # column operations: A <- A F, Q <- Q F, Qinv <- F^{-1} Qinv
 
     def col_axpy_batch(self, cols, src: int, qvec, lo: int = 0) -> None:
-        """cols[i] -= qvec[i] * col[src] (on A and Q; mirrored on Qinv)."""
+        """cols[i] -= qvec[i] * col[src] (on A and Q; mirrored on Qinv).
+
+        On A only the rows from lo where column src is nonzero change; the
+        Smith loop calls this with column src already cleared below row
+        lo, so that is one row.
+        """
         qarr, qmax, qsum = _growth(qvec)
         if qmax == 0:
             return
-        self._prepare("a", qmax)
-        self._prepare("qt", qmax)
-        self._prepare("qinv", qsum)
-        a, qt, qinv = self.mats["a"], self.mats["qt"], self.mats["qinv"]
-        a[lo:, cols] -= np.outer(a[lo:, src], qarr.astype(a.dtype, copy=False))
-        qt[cols, :] -= np.outer(qarr.astype(qt.dtype, copy=False), qt[src, :])
-        qinv[src, :] += qarr.astype(qinv.dtype, copy=False) @ qinv[cols, :]
+        cols = np.asarray(cols, dtype=np.intp)
+        self._sub_outer("a", cols, src, qarr, qmax, lo, transpose=True)
+        self._sub_outer("qt", cols, src, qarr, qmax)
+        self._add_rows("qinv", src, cols, qarr, qsum)
 
     def col_swap(self, c1: int, c2: int) -> None:
         if c1 == c2:
             return
         a = self.mats["a"]
         a[:, [c1, c2]] = a[:, [c2, c1]]
-        for name in ("qt", "qinv"):
-            m = self.mats[name]
+        for m in (self.mats["qt"], self.mats["qinv"], self.unit["qinv"]):
             m[[c1, c2]] = m[[c2, c1]]
 
 
@@ -638,12 +686,21 @@ def hermite_rows(a) -> tuple[np.ndarray, np.ndarray]:
             _shrink(np.array(t, dtype=object)) if rows else np.zeros((0, 0), dtype=np.int64))
 
 
+def _scale_columns(m: np.ndarray, factors) -> np.ndarray:
+    """``m`` with column j multiplied by ``factors[j]``, exactly."""
+    f = as_int_array(list(factors)).reshape(1, -1)
+    if object in (m.dtype, f.dtype) or _maxabs(m) * _maxabs(f) >= _LIMIT:
+        m, f = m.astype(object), f.astype(object)
+    return _shrink(m * f)
+
+
 def audit_smith(a: np.ndarray, sm: SmithResult) -> None:
     """Certify a Smith decomposition: reconstruction, unimodular
     transforms, nonnegative divisibility chain.
 
-    Matrices up to 400 rows and columns get fully exact checks.  Above
-    that the identities are certified by randomized projection probes —
+    Matrices up to 400 rows and columns get fully exact checks; U D is
+    formed by scaling the first rank-many columns of U.  Above that the
+    identities are certified by randomized projection probes —
     exact products against random integer vectors, so any single wrong
     entry is caught with probability at least 1 - 2^-8 per audit.
     Raises :class:`DefectError` on any discrepancy.
@@ -651,8 +708,11 @@ def audit_smith(a: np.ndarray, sm: SmithResult) -> None:
     a = as_int_array(np.atleast_2d(a))
     small = max(a.shape) <= 400
     if small:
-        d = sm.d_matrix(a.shape)
-        recon = dot_exact(dot_exact(sm.u, d), sm.v)
+        r = sm.rank
+        # U D V from the first r columns of U D: the divisor checks below
+        # reject a diag whose zeros do not all trail
+        ud = _scale_columns(sm.u[:, :r], sm.diag[:r])
+        recon = dot_exact(ud, sm.v[:r, :])
         if not np.array_equal(recon, a):
             raise DefectError("Smith reconstruction U @ D @ V != A")
     else:

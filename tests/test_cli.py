@@ -102,6 +102,40 @@ def test_cache_round_trip_and_corruption(tmp_path, capsys):
     assert recovered == fresh
 
 
+def test_truncated_cache_entry_is_rebuilt(tmp_path, capsys):
+    args = ["compute", "--type", "A2", "--no-timings",
+            "--cache-dir", str(tmp_path)]
+    _, fresh, _ = _run(args, capsys)
+    entry = tmp_path / "A2.json"
+    text = entry.read_text()
+    entry.write_text(text[:len(text) // 2])
+    assert _run(args, capsys)[:2] == (0, fresh)
+    assert json.loads(entry.read_text()) == json.loads(text)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["A2.json"]
+
+
+def test_failed_cache_write_keeps_the_previous_entry(tmp_path, capsys, monkeypatch):
+    args = ["compute", "--type", "A1", "--no-timings",
+            "--cache-dir", str(tmp_path)]
+    _, fresh, _ = _run(args, capsys)
+    entry = tmp_path / "A1.json"
+    before = entry.read_text()
+    run = cli.run_pipeline("A1")
+
+    def write_half(self, text, *args, **kwargs):
+        with open(self, "w") as fh:
+            fh.write(text[:len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.Path, "write_text", write_half)
+    with pytest.raises(OSError):
+        cli._save_cache(tmp_path, "A1", run.module)
+    monkeypatch.undo()
+    assert entry.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["A1.json"]
+    assert _run(args, capsys)[:2] == (0, fresh)
+
+
 def _forge(entry, **fields):
     """Rewrite a cache entry with the given fields and a valid checksum."""
     payload = json.loads(entry.read_text())

@@ -151,6 +151,39 @@ def test_homology_table_matches_homology_of():
         [(0, 2, ()), (1, 0, ()), (2, 3, ())]
 
 
+def _one_map(rows):
+    d = np.array(rows, dtype=np.int64)
+    return ChainComplex(ranks=d.shape, maps=(d,))
+
+
+def test_unit_pivot_elimination_leaves_the_right_residual():
+    # no +-1 entry: everything goes to the residual's Smith form
+    pivots, residual = homology._eliminate_unit_pivots(np.array([[2, 4], [6, 8]]))
+    assert (pivots, residual.tolist()) == (0, [[2, 4], [6, 8]])
+    # one unit pivot, and a residual that carries torsion
+    mixed = [[1, 1, 0], [1, 3, 0], [0, 0, 6]]
+    pivots, residual = homology._eliminate_unit_pivots(np.array(mixed))
+    assert (pivots, residual.tolist()) == (1, [[2, 0], [0, 6]])
+    # eliminating (0, 0) turns the 3 into a new unit: no residual is left
+    pivots, residual = homology._eliminate_unit_pivots(np.array([[1, 2], [1, 3]]))
+    assert (pivots, residual.shape) == (2, (0, 0))
+    # zero rows and columns never reach the residual
+    pivots, residual = homology._eliminate_unit_pivots(np.zeros((3, 2), dtype=np.int64))
+    assert (pivots, residual.shape) == (0, (0, 0))
+    cases = [_one_map([[2, 4], [6, 8]]), _one_map(mixed), _one_map([[1, 2], [1, 3]]),
+             _one_map([[3, 1, 2], [1, 3, 5], [2, 5, 7]])]
+    for cx in cases + _edge_complexes():
+        assert _table_of(homology.homology_table(cx)) == \
+            _table_of(homology.homology_of(cx))
+    assert _table_of(homology.homology_table(cases[0])) == [(0, 0, (2, 4)), (1, 0, ())]
+    assert _table_of(homology.homology_table(cases[1])) == [(0, 0, (2, 6)), (1, 0, ())]
+
+
+def test_d4_ext_table_is_binomial(pipeline):
+    ext = homology.ext_via_cochain(pipeline("D4").chain_complex)
+    assert _table_of(ext) == [(p, comb(4, p), ()) for p in range(5)]
+
+
 def test_ext_is_the_homology_of_the_dual_complex():
     rng = random.Random(44)
     complexes = _edge_complexes()

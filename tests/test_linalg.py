@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -232,10 +233,9 @@ def test_growth_bounds_match_python_loops():
         assert qsum == sum(abs(v) for v in vals)
 
 
-def _smith_digest(a) -> str:
+def _digest(sm) -> str:
     """sha256 over the diagonal and, entry by entry, the four transforms
     (with their dtypes and shapes)."""
-    sm = linalg.smith(a)
     h = hashlib.sha256()
     h.update(",".join(str(int(d)) for d in sm.diag).encode())
     for name in ("u", "u_inv", "v", "v_inv"):
@@ -245,8 +245,15 @@ def _smith_digest(a) -> str:
     return h.hexdigest()
 
 
+def _smith_digest(a) -> str:
+    return _digest(linalg.smith(a))
+
+
 # Digests of the pivot sequence the golden exterior determinants were
 # computed with: a different (equally valid) Smith form changes their signs.
+# ("A4", p) is the boundary d_p, ("A4T", p) its transpose (a boundary of
+# the dual complex) and ("A4rel", p) the relation matrix of homology_of at
+# degree p; ("battery", 0) covers every matrix of _battery().
 _SMITH_DIGESTS = {
     ("A3", 1): "aa915beb1744fb590c32e4b4797532e3d5f273bb1d6de02e96017f0b1413866f",
     ("A3", 2): "365c89460526fb569201fe37ad28d82de3c2a0d8ecf23465d3b0fafdc3b55ce8",
@@ -254,6 +261,18 @@ _SMITH_DIGESTS = {
     ("B2", 1): "9eaef84fbbdb88aed4996f8066c5b73611f7d8e2493f09d8892434d4b3343476",
     ("B2", 2): "78cf0855a20bc184f9dabefcee760a798e576a3d14c37314f7ebce04641460c0",
     ("scaled", 0): "5b56de7d520c9756e08ddcfd60ed37589d628fd5e5490ad223b1bfbdaa0903cf",
+    ("A4", 1): "83edd605c44d3a6971c394b4e1aa9efd16226124b80fbdfc7264f530f1fee5c3",
+    ("A4", 2): "6c9700008222d5058ec530c9e054946a2279e47142d93aeb1ca6adbfd48ed7f2",
+    ("A4", 3): "f0f972bb08e7044e48efd9fe7a9e2c82a428a5aa5dba6fda868bb1c8479e25d0",
+    ("A4", 4): "2d3aafce6a769346f62e98baa4844e8c1dc438d40346908363e527209a073b35",
+    ("A4T", 1): "46c77518813d3c1b36181db58e3e29edbb5f8601d8964bc26016bf7a3ee0c2b7",
+    ("A4T", 2): "b235da26a191e87794ddcb9422f2ce4a6f380f60e027f1f517b1a266c239c02a",
+    ("A4T", 3): "a4be6b133eb682eec3732989fbfad4ad1ff7329c84077cbdb9a13d2b81e5cee3",
+    ("A4T", 4): "9dee0cfc047b62751ed2abcc52fc8e40baa12de3100cbc64d86586cd92bd4c9e",
+    ("A4rel", 1): "9b51a24dab7d488bf2433e373d03c564c50e61791919b3d1484bb9807ba32a53",
+    ("A4rel", 2): "486fc24f59a9625ad36559d53a49816b1abbf263dcfefd4d2e56c681c5e611e7",
+    ("A4rel", 3): "67dc3ab672c3f76199101fbdc7ed4b92ecec3c8dd4d51ce3ea5a2cd49ff1374d",
+    ("battery", 0): "3b4341fa929bea380568539e36b8930d1ee91eaacafda94804f9e9b31be18abc",
 }
 
 
@@ -268,6 +287,136 @@ def test_smith_transforms_are_pinned(pipeline):
     assert [m.dtype for m in (sm.u, sm.u_inv, sm.v, sm.v_inv)] == \
         [object, object, np.int64, object]
     assert _smith_digest(a) == _SMITH_DIGESTS["scaled", 0]
+
+
+def _bits(mat) -> int:
+    return max((abs(int(x)) for x in mat.flat), default=0).bit_length()
+
+
+def test_smith_transforms_are_pinned_on_a4(pipeline):
+    maps = pipeline("A4").chain_complex.maps
+    for p, d in enumerate(maps, 1):
+        sm = linalg.smith(d)
+        assert _digest(sm) == _SMITH_DIGESTS["A4", p], p
+        smt = linalg.smith(d.T)
+        assert _digest(smt) == _SMITH_DIGESTS["A4T", p], p
+        if p == 2:  # the transforms leave int64 on the way
+            assert (_bits(smt.u), _bits(smt.v_inv)) == (272, 274)
+        if p < len(maps):
+            r = sm.rank
+            relations = linalg.dot_exact(sm.v, maps[p])[r:, :]
+            assert _smith_digest(relations) == _SMITH_DIGESTS["A4rel", p], p
+
+
+def _battery() -> list[np.ndarray]:
+    """Seeded matrices that reach every branch of the Smith loop: empty
+    and zero shapes, remainder swaps, non-divisible pivots, escalation to
+    object part-way through, and wide sparse matrices whose transforms
+    collect many dirty rows."""
+    rng = np.random.default_rng(2024)
+    mats = [np.zeros(shape, dtype=np.int64) for shape in ((0, 4), (4, 0), (0, 0), (3, 2))]
+    for k in range(36):
+        shape = tuple(int(x) for x in rng.integers(1, 10, size=2))
+        kind = k % 6
+        if kind == 0:
+            a = rng.integers(-20, 21, size=shape)
+        elif kind == 1:   # least entries 2 and 3: remainders and non-divisible pivots
+            a = rng.choice([0, 0, 2, -2, 3, -3, 4, 6, 9, -10], size=shape)
+        elif kind == 2:
+            a = rng.integers(-20, 21, size=shape) * 10 ** 14
+        elif kind == 3:   # entries near 2^40
+            a = rng.integers(-3, 4, size=shape) + \
+                rng.choice([0, 1 << 40, -(1 << 40)], size=shape)
+        elif kind == 4:
+            a = rng.integers(-6, 7, size=(shape[0] + 12, shape[1] + 18))
+            a[rng.random(a.shape) < 0.7] = 0
+        else:
+            a = rng.integers(-2, 3, size=shape) * rng.choice([1, 2, 6, 30], size=shape)
+        mats.append(a.astype(np.int64))
+    return mats
+
+
+def _count_paths(monkeypatch) -> dict:
+    """Count remainder swaps, row_add calls and escalations to object
+    made by batch updates, by wrapping the _Tracked methods."""
+    seen = {"remainder_swap": 0, "row_add": 0, "escalation": 0}
+    tracked = linalg._Tracked
+
+    def swap(orig):
+        def wrapper(self, i, j):
+            caller = sys._getframe(1).f_code.co_name
+            if i != j and caller in ("_clear_column", "_clear_row_once"):
+                seen["remainder_swap"] += 1
+            return orig(self, i, j)
+        return wrapper
+
+    def row_add(orig):
+        def wrapper(self, *args, **kwargs):
+            seen["row_add"] += 1
+            return orig(self, *args, **kwargs)
+        return wrapper
+
+    def batch(orig):
+        def wrapper(self, *args, **kwargs):
+            before = {name: m.dtype for name, m in self.mats.items()}
+            orig(self, *args, **kwargs)
+            if any(before[name] != object and m.dtype == object
+                   for name, m in self.mats.items()):
+                seen["escalation"] += 1
+        return wrapper
+
+    for name, wrap in (("row_swap", swap), ("col_swap", swap), ("row_add", row_add),
+                       ("row_axpy_batch", batch), ("col_axpy_batch", batch)):
+        monkeypatch.setattr(tracked, name, wrap(getattr(tracked, name)))
+    return seen
+
+
+def test_smith_battery_is_pinned_and_reaches_every_path(monkeypatch):
+    seen = _count_paths(monkeypatch)
+    h = hashlib.sha256()
+    for a in _battery():
+        h.update(_smith_digest(a).encode())
+    assert h.hexdigest() == _SMITH_DIGESTS["battery", 0]
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_int64_caps_bound_every_entry(monkeypatch):
+    # an under-estimated cap would let an int64 update wrap silently; the
+    # caps must bound the entries after every batch update, and the result
+    # must equal a run with every working matrix in Python integers
+    tracked = linalg._Tracked
+    battery = _battery()
+    rng = np.random.default_rng(5)
+    battery += [rng.integers(-20, 21, size=(7, 9)) * 10 ** 14,
+                rng.integers(-3, 4, size=(9, 7)) + (1 << 40),
+                rng.integers(-(1 << 40), 1 << 40, size=(6, 6))]
+    init = tracked.__init__
+
+    def all_object(self, a):
+        init(self, a)
+        self.mats = {name: m.astype(object) for name, m in self.mats.items()}
+        self.caps = dict.fromkeys(self.mats)
+
+    monkeypatch.setattr(tracked, "__init__", all_object)
+    forced = [_smith_digest(a) for a in battery]
+    monkeypatch.setattr(tracked, "__init__", init)
+
+    checked = 0
+
+    def audited(orig):
+        def wrapper(self, *args, **kwargs):
+            nonlocal checked
+            orig(self, *args, **kwargs)
+            for name, m in self.mats.items():
+                if m.dtype == np.int64:
+                    assert self.caps[name] >= linalg._maxabs(m), name
+                    checked += 1
+        return wrapper
+
+    for name in ("row_axpy_batch", "col_axpy_batch"):
+        monkeypatch.setattr(tracked, name, audited(getattr(tracked, name)))
+    assert [_smith_digest(a) for a in battery] == forced
+    assert checked
 
 
 def test_smith_diag_matches_determinant():
