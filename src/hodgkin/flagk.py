@@ -17,7 +17,11 @@ polynomial evaluated at the summed exponents,
 
     <e^a, e^b> = prod_{alpha^vee > 0} <a + b + rho, alpha^vee> / <rho, alpha^vee>,
 
-which the property suite cross-checks against the Demazure route.
+which the property suite cross-checks against the Demazure route.  The
+Gram matrix, the right-hand sides of every multiplication operator and
+of every coordinate solve are that closed form evaluated over whole
+grids of weights (:func:`laurent.weight_dimension_grid`), one coroot at
+a time.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import cartan, laurent, linalg
 from .cartan import RootDatum, Vector, WeylGroup
-from .errors import CertificationError, DefectError
+from .errors import CertificationError
 from .laurent import CharacterSet, LaurentPoly
 
 
@@ -65,25 +69,14 @@ def steinberg_weights(datum: RootDatum, weyl: WeylGroup) -> tuple[Vector, ...]:
     basis of the module (Steinberg, Topology 14, 1975), so their Gram
     matrix is unimodular; :func:`build_module` certifies that exactly.
     """
-    n = datum.rank
+    positive = set(cartan.positive_roots(datum))
     out = []
     for w in weyl.elements:
-        descents = [
-            i for i in range(n)
-            if cartan._root_sign(datum, cartan.mat_vec(w, datum.simple_roots[i])) < 0
-        ]
-        s = tuple(-1 if i in descents else 0 for i in range(n))
+        # w(alpha_i) is a root: i is a descent when it is not positive
+        s = tuple(0 if cartan.mat_vec(w, alpha) in positive else -1
+                  for alpha in datum.simple_roots)
         out.append(cartan.mat_vec(w, s))
     return tuple(out)
-
-
-def _gram_matrix(datum: RootDatum, weights) -> np.ndarray:
-    rows = [
-        [laurent.signed_weight_dimension(datum, tuple(x + y for x, y in zip(a, b)))
-         for b in weights]
-        for a in weights
-    ]
-    return linalg._shrink(np.array(rows, dtype=object))
 
 
 def _certify_gram(datum: RootDatum, weights):
@@ -91,21 +84,18 @@ def _certify_gram(datum: RootDatum, weights):
 
     Unimodularity is certified through the exact integer inverse: an
     integer X with G @ X == I forces det(G) * det(X) == 1 over the
-    integers, hence det(G) in {+1, -1}; the sign is then read off one
-    modular determinant.  Otherwise ``gram-unimodular`` fails with the
-    exact determinant as witness.
+    integers, hence det(G) in {+1, -1}.  The sign is the determinant
+    residue, 1 or p - 1, of the first prime's elimination in that
+    inverse's reconstruction; no separate determinant is computed.
+    Otherwise ``gram-unimodular`` fails with the exact determinant as
+    witness.
     """
-    gram = _gram_matrix(datum, weights)
+    gram = laurent.weight_dimension_grid(datum, weights, weights)
     try:
-        gram_inv = linalg.inverse_unimodular(gram)
+        gram_inv, det = linalg._unimodular_inverse(gram)
     except ValueError:
         witness = {"determinant": linalg.det_exact(gram)}
         raise CertificationError("gram-unimodular", witness=witness) from None
-    p = linalg.crt_primes(1)[0]
-    residue = linalg.det_mod(gram, p)
-    det = 1 if residue == 1 else -1
-    if residue not in (1, p - 1):
-        raise DefectError("unimodular Gram with determinant residue != +-1")
     return gram, det, gram_inv
 
 
@@ -137,7 +127,6 @@ class FlagKModule:
     mult_matrices: tuple[np.ndarray, ...]
     mult_matrices_inv: tuple[np.ndarray, ...]
     unit_coords: np.ndarray
-    _rhs_cache: dict = field(default_factory=dict, repr=False)
     _coords_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -148,14 +137,7 @@ class FlagKModule:
 
     def _rhs_vector(self, exps: Vector) -> np.ndarray:
         """Pairings of ``e^exps`` against every basis monomial."""
-        cached = self._rhs_cache.get(exps)
-        if cached is None:
-            cached = linalg.as_int_array(
-                [laurent.signed_weight_dimension(
-                    self.datum, tuple(x + y for x, y in zip(exps, b)))
-                 for b in self.basis_weights])
-            self._rhs_cache[exps] = cached
-        return cached
+        return laurent.weight_dimension_grid(self.datum, [exps], self.basis_weights)[0]
 
     def monomial_coords(self, exps: Vector) -> np.ndarray:
         cached = self._coords_cache.get(exps)
@@ -178,9 +160,13 @@ class FlagKModule:
     # -- multiplication -------------------------------------------------
 
     def monomial_operator(self, exps: Vector) -> np.ndarray:
-        """Matrix of multiplication by ``e^exps``, solved from the pairing."""
-        rhs = np.stack([self._rhs_vector(tuple(int(x) + y for x, y in zip(exps, b)))
-                        for b in self.basis_weights], axis=1)
+        """Matrix of multiplication by ``e^exps``, solved from the pairing.
+
+        Column i is solved from the pairings of e^exps times basis
+        monomial i with every basis monomial.
+        """
+        weights = np.array(self.basis_weights, dtype=np.int64)
+        rhs = laurent.weight_dimension_grid(self.datum, weights, weights + exps)
         return linalg.dot_exact(self.gram_inv, rhs)
 
     def _walk(self, start: np.ndarray, weights) -> list[np.ndarray]:

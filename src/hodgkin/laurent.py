@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import cartan
+import numpy as np
+
+from . import cartan, linalg
 from .cartan import Matrix, RootDatum, Vector, WeylGroup
 from .errors import DefectError
 
@@ -310,6 +312,51 @@ def signed_weight_dimension(datum: RootDatum, weight: Vector) -> int:
             f"dimension polynomial not integral at weight {weight}"
         )
     return quotient
+
+
+def weight_dimension_grid(datum: RootDatum, left, right) -> np.ndarray:
+    """``signed_weight_dimension(datum, left[i] + right[j])`` for all i, j.
+
+    Each factor of the closed form splits as
+    <l + r + rho, alpha^vee> = <l + rho, alpha^vee> + <r, alpha^vee>, so
+    the linear forms of the left weights (shifted by the coroot heights)
+    and of the right ones are taken once, and the product is streamed
+    one coroot at a time into a single len(left) x len(right)
+    accumulator; no tensor of all the factors is formed.
+
+    Exact guard: max|left form| + max|right form| bounds each factor.
+    The coroots are taken in runs whose bounds multiply to below 2^62,
+    and each run's product accumulates in int64; int64 arithmetic is
+    exact modulo 2^64, so a product that ends below 2^62 is exact
+    whatever its partial products did.  When the forms are small enough
+    there is one run and no Python integer is formed; otherwise the
+    runs' products are multiplied together in Python integers.  Every
+    quotient by the denominator is checked to leave no remainder.
+    """
+    coroots, denominator = _coroot_data(datum)
+    c = np.array(coroots, dtype=np.int64).reshape(-1, datum.rank)
+    lforms = np.asarray(left, dtype=np.int64).reshape(-1, datum.rank) @ c.T + c.sum(axis=1)
+    rforms = np.asarray(right, dtype=np.int64).reshape(-1, datum.rank) @ c.T
+    runs: list[list[int]] = [[]]
+    bound = 1
+    for k, (lmax, rmax) in enumerate(zip(np.abs(lforms).max(axis=0, initial=0),
+                                         np.abs(rforms).max(axis=0, initial=0))):
+        factor = int(lmax) + int(rmax)
+        if bound * factor >= 1 << 62 and runs[-1]:
+            runs.append([])
+            bound = 1
+        runs[-1].append(k)
+        bound *= factor
+    num = None
+    for run in runs:
+        part = np.ones((len(lforms), len(rforms)), dtype=np.int64)
+        for k in run:
+            part *= lforms[:, k, None] + rforms[None, :, k]
+        num = part if num is None else num * part.astype(object)
+    quotient = num // denominator
+    if np.any(num - quotient * denominator):
+        raise DefectError("dimension polynomial not integral on a weight grid")
+    return linalg._shrink(quotient)
 
 
 # --- augmentation ideal -----------------------------------------------------

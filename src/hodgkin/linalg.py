@@ -15,6 +15,15 @@ and an integer product whose entries, factors and partial sums all stay
 below 2^53 is computed without rounding, in whatever order the sums are
 taken.  Wider operands are cut into digits narrow enough for that bound.
 
+Modular elimination (inverses and determinants over F_p) is one
+Gauss–Jordan kernel on float64, run in column panels.  Inside a panel
+the pivots and updates touch the panel alone, while the row operations
+are gathered into one n x b matrix Y; the columns right of the panel
+then take them in one BLAS product, T <- T + Y T[panel rows].  It is
+exact for the same reason: p < 2^20 keeps every entry and factor below
+2^20, so a panel product with b <= 2^12 terms sums to below 2^52, and
+every reduction x - floor(x/p) p is corrected into [0, p) exactly.
+
 The Smith normal form keeps four transforms (U, U^-1, V, V^-1 with
 A = U D V) because downstream homology needs kernels *and* kernel
 coordinates; co-tracking inverses through elementary operations is far
@@ -41,6 +50,12 @@ _LIMIT = 1 << 62
 
 # float64 represents every integer of absolute value up to 2^53.
 _FLOAT_EXACT_BITS = 53
+
+# Modular elimination: with moduli below 2^20, a sum of 2^12 products of
+# residues stays below 2^52.  Panels are narrower than that.
+_MODULUS_LIMIT = 1 << 20
+_EXACT_COLUMNS = 1 << 12
+_PANEL = 32
 
 
 # --- array plumbing ---------------------------------------------------------
@@ -199,33 +214,99 @@ def _mod_array(a: np.ndarray, p: int) -> np.ndarray:
     return (a % p).astype(np.int64)
 
 
-def det_mod(a: np.ndarray, p: int) -> int:
-    """Determinant modulo a prime, by Gaussian elimination over F_p."""
-    m = _mod_array(a, p)
+def _reduce_mod(x: np.ndarray, p: int) -> None:
+    """x <- x mod p in place, for float64 integers below 2^53 in size.
+
+    The float quotient is off by at most one either way, and x - q p is
+    exact, so one correction on each side lands every entry in [0, p).
+    """
+    x -= np.floor(x * (1.0 / p)) * p
+    x[x < 0] += p
+    x[x >= p] -= p
+
+
+def _gauss_jordan_mod(m: np.ndarray, p: int) -> int:
+    """Gauss–Jordan over F_p on the leading n x n block of ``m``, in place.
+
+    ``m`` is n x k with k >= n, float64 with entries in [0, p).  Column
+    by column the pivot is the first nonzero entry at or below the
+    diagonal; its row is scaled to 1 and cleared from every other row.
+    On return the leading block is I and the rest is E m mod p, with E
+    the product of the row operations.  Returns the determinant of the
+    leading block mod p, or 0 (leaving ``m`` part reduced) when it is
+    singular mod p.
+
+    Panel [lo, hi) of width b runs on a copy ``w = [panel | Y]``.  Step
+    k is I + u e_r^T (r = lo + k): the composite of the steps so far is
+    I + Y S^T, with S the unit columns of rows lo..r-1, so the step
+    adds u (Y[r] + e_k) to Y; on the panel it adds u w[r].  Row swaps go
+    to w and to the columns right of the panel at once; the rows they
+    exchange are not in S, so S is unchanged.  The columns left of the
+    panel are unit columns with zeros in rows lo..hi-1, which E leaves
+    alone.
+
+    Reductions mod p are deferred as far as the 2^53 bound allows: a
+    factor read by a product (pivot column and row, the rows of the
+    panel product) is reduced first, so each step adds less than p^2 to
+    an entry of w, and each panel less than b p^2 to an entry right of
+    it.  w is reduced once per panel, and the columns right of the
+    panel before the next panel could take them past _EXACT_COLUMNS
+    eliminated columns, so every entry stays below p + 2^12 p^2 < 2^53.
+    """
+    if p >= _MODULUS_LIMIT:
+        raise ValueError(f"modulus {p} is not below 2^20")
     n = m.shape[0]
     det = 1
-    for col in range(n):
-        nz = np.nonzero(m[col:, col])[0]
-        if nz.size == 0:
-            return 0
-        piv = col + int(nz[0])
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-            det = p - det
-        pv = int(m[col, col])
-        det = (det * pv) % p
-        inv = pow(pv, p - 2, p)
-        if col + 1 < n:
-            factors = (m[col + 1:, col] * inv) % p
-            m[col + 1:, col:] = (m[col + 1:, col:] - np.outer(factors, m[col, col:])) % p
+    reduced_at = 0
+    for lo in range(0, n, _PANEL):
+        hi = min(lo + _PANEL, n)
+        b = hi - lo
+        rest = m[:, hi:]
+        w = np.zeros((n, 2 * b))
+        w[:, :b] = m[:, lo:hi]
+        _reduce_mod(w[:, :b], p)
+        for k in range(b):
+            r = lo + k
+            col = w[:, k]
+            _reduce_mod(col, p)
+            nz = np.flatnonzero(col[r:])
+            if nz.size == 0:
+                return 0
+            piv = r + int(nz[0])
+            if piv != r:
+                w[[r, piv]] = w[[piv, r]]
+                rest[[r, piv]] = rest[[piv, r]]
+                det = p - det
+            _reduce_mod(w[r, k:], p)
+            pv = int(col[r])
+            det = det * pv % p
+            inv = pow(pv, p - 2, p)
+            u = col * (p - inv)  # -inv times the pivot column
+            _reduce_mod(u, p)
+            u[r] = inv - 1
+            w[:, k:] += np.outer(u, w[r, k:])
+            w[:, b + k] += u
+        _reduce_mod(w, p)
+        m[:, lo:hi] = w[:, :b]
+        _reduce_mod(rest[lo:hi], p)
+        rest += w[:, b:] @ rest[lo:hi]
+        if hi == n or hi + _PANEL - reduced_at > _EXACT_COLUMNS:
+            _reduce_mod(rest, p)
+            reduced_at = hi
     return det
+
+
+def det_mod(a: np.ndarray, p: int) -> int:
+    """Determinant modulo a prime p < 2^20, by Gauss–Jordan over F_p."""
+    return _gauss_jordan_mod(_mod_array(a, p).astype(np.float64), p)
 
 
 def _hadamard_bits(a: np.ndarray) -> int:
     """Upper bound on bit length of |det| via Hadamard's inequality."""
+    rows = a.astype(object)
     bits = 1
-    for row in a:
-        norm_sq = sum(int(x) * int(x) for x in row.flat)
+    for norm_sq in (rows * rows).sum(axis=1):
+        norm_sq = int(norm_sq)
         if norm_sq == 0:
             return 1  # a zero row: det is 0
         bits += (norm_sq.bit_length() + 1) // 2 + 1
@@ -268,24 +349,56 @@ def det_exact(a: np.ndarray) -> int:
     return _crt_combine(residues, primes)
 
 
-def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray | None:
-    """Inverse over F_p, or None when singular mod p."""
+def _inverse_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, int] | None:
+    """(inverse, determinant) over F_p, or None when singular mod p."""
     n = a.shape[0]
-    m = np.concatenate([_mod_array(a, p), np.eye(n, dtype=np.int64)], axis=1)
-    for col in range(n):
-        nz = np.nonzero(m[col:, col])[0]
-        if nz.size == 0:
-            return None
-        piv = col + int(nz[0])
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-        inv = pow(int(m[col, col]), p - 2, p)
-        m[col] = (m[col] * inv) % p
-        others = [r for r in range(n) if r != col and m[r, col]]
-        if others:
-            # the columns left of col hold reduced unit columns: m[col] is 0 there
-            m[others, col:] = (m[others, col:] - np.outer(m[others, col], m[col, col:])) % p
-    return m[:, n:]
+    m = np.concatenate([_mod_array(a, p), np.eye(n, dtype=np.int64)],
+                       axis=1).astype(np.float64)
+    det = _gauss_jordan_mod(m, p)
+    if det == 0:
+        return None
+    return m[:, n:].astype(np.int64), det
+
+
+def _unimodular_inverse(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(inverse, determinant) of an integer matrix with determinant +-1.
+
+    The determinant is read off the first prime's elimination: its
+    residue must be 1 or p - 1, else the matrix is not unimodular.  See
+    :func:`inverse_unimodular`.
+    """
+    a = as_int_array(a)
+    n = a.shape[0]
+    if n == 0:
+        return a.reshape(0, 0), 1
+    ident = np.eye(n, dtype=np.int64)
+    # worst case: inverse entries are (n-1)-minors
+    cap_bits = _hadamard_bits(a) + 8
+    x = np.zeros((n, n), dtype=np.int64)
+    modulus = 1
+    for count in range(1, cap_bits):
+        p = crt_primes(count)[-1]
+        solved = _inverse_mod(a, p)
+        if solved is None:
+            raise ValueError("matrix is singular modulo a prime; not unimodular")
+        inv_p, residue = solved
+        if count == 1:
+            if residue not in (1, p - 1):
+                raise ValueError("determinant is not +-1 modulo a prime; not unimodular")
+            det = 1 if residue == 1 else -1
+        # 0 <= x < modulus * p below, and 2x is formed: int64 while that fits
+        if x.dtype != object and modulus * p > _LIMIT:
+            x = x.astype(object)
+        delta = ((inv_p - x % p) * pow(modulus % p, p - 2, p)) % p
+        x = x + modulus * delta
+        modulus *= p
+        # symmetric lift, then certify
+        lifted = _shrink(np.where(2 * x > modulus, x - modulus, x))
+        if np.array_equal(dot_exact(a, lifted), ident):
+            return lifted, det
+        if modulus.bit_length() > cap_bits:
+            break
+    raise ValueError("inverse reconstruction failed; matrix not unimodular")
 
 
 def inverse_unimodular(a: np.ndarray) -> np.ndarray:
@@ -297,30 +410,7 @@ def inverse_unimodular(a: np.ndarray) -> np.ndarray:
     inverse's entries.  Raises ``ValueError`` when the matrix is not
     unimodular (a unimodular matrix is invertible mod every prime).
     """
-    a = as_int_array(a)
-    n = a.shape[0]
-    if n == 0:
-        return a.reshape(0, 0)
-    ident = np.eye(n, dtype=np.int64)
-    # worst case: inverse entries are (n-1)-minors
-    cap_bits = _hadamard_bits(a) + 8
-    x = np.zeros((n, n), dtype=object)
-    modulus = 1
-    for count in range(1, cap_bits):
-        p = crt_primes(count)[-1]
-        inv_p = _inverse_mod(a, p)
-        if inv_p is None:
-            raise ValueError("matrix is singular modulo a prime; not unimodular")
-        delta = ((inv_p - x % p) * pow(modulus % p, p - 2, p)) % p
-        x = x + modulus * delta
-        modulus *= p
-        # symmetric lift, then certify
-        lifted = _shrink(np.where(2 * x > modulus, x - modulus, x))
-        if np.array_equal(dot_exact(a, lifted), ident):
-            return lifted
-        if modulus.bit_length() > cap_bits:
-            break
-    raise ValueError("inverse reconstruction failed; matrix not unimodular")
+    return _unimodular_inverse(a)[0]
 
 
 # --- Smith normal form ------------------------------------------------------

@@ -4,7 +4,7 @@
 run does; an API change that breaks it would make every bench run fail.
 Each kind runs once on A1 in a fresh interpreter, plus one traced cold
 run, and must come back ``ok`` with every check passing and the golden
-outcome.
+outcome.  The ``module-C4`` workload's type-run is run once as well.
 """
 
 import json
@@ -58,3 +58,14 @@ def test_child_runs_and_passes_every_check(kind, traced, cache_dir, tmp_path):
     if traced:
         assert result["trace"]["inclusive"]["cli.run_pipeline"] > 0
         assert trace.stat().st_size > 0
+
+
+def test_c4_module_child_is_certified(cache_dir):
+    spec = {"kind": "module", "type": "C4", "cache_dir": str(cache_dir), "seed": 7,
+            "audit": True, "run_id": "module-C4", "trace": None}
+    result = _child(spec)
+    assert result["ok"], result["error"]
+    outcome = result["outcome"]
+    assert outcome["checks"] and all(passed for _, passed in outcome["checks"]), \
+        outcome["checks"]
+    assert (outcome["weyl_order"], outcome["gram_det"]) == (384, 1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hodgkin import cartan, flagk, laurent, linalg
-from hodgkin.errors import CertificationError
+from hodgkin.errors import CertificationError, DefectError
 from hodgkin.laurent import LaurentPoly
 
 A1_GRAM = [[1, 2], [2, 3]]
@@ -32,6 +32,62 @@ def test_basis_has_group_order_and_unit(pipeline):
         zero = tuple(0 for _ in range(run.datum.rank))
         assert module.coords(LaurentPoly.monomial(zero)).tolist() == \
             module.unit_coords.tolist()
+
+
+def _scalar_grid(datum, left, right):
+    def swd(a, b):
+        return laurent.signed_weight_dimension(datum, tuple(int(x) + int(y) for x, y in zip(a, b)))
+    return [[swd(a, b) for b in right] for a in left]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "G2", "A1xA1", "B3", "C3",
+                                  "A4", "C4"])
+def test_weight_grid_matches_scalar_dimension(name):
+    # every Gram entry, and every entry of the right-hand side of M_0
+    datum = cartan.build_root_datum(cartan.parse_type(name))
+    weights = np.array(sorted(flagk.steinberg_weights(datum, cartan.generate_weyl(datum))))
+    shifted = weights + np.eye(datum.rank, dtype=np.int64)[0]
+    for left, right in ((weights, weights), (weights, shifted)):
+        grid = laurent.weight_dimension_grid(datum, left, right)
+        assert grid.dtype == np.int64
+        assert grid.tolist() == _scalar_grid(datum, left, right)
+
+
+def test_weight_grid_wide_numerators_are_exact():
+    # forms whose product bound passes 2^62 accumulate in Python integers
+    datum = cartan.build_root_datum(cartan.parse_type("A3"))
+    rng = np.random.default_rng(41)
+    left = rng.integers(-3000, 3000, size=(7, 3))
+    right = rng.integers(-3000, 3000, size=(5, 3))
+    grid = laurent.weight_dimension_grid(datum, left, right)
+    assert grid.dtype == object
+    assert max(abs(int(x)) for x in grid.flat) >= 1 << 62
+    assert grid.tolist() == _scalar_grid(datum, left, right)
+    # weights on two different walls: the bound passes 2^62, the values fit
+    walls = [(-1, 3000, 3000), (3000, 3000, -1), (0, 0, 0)]
+    grid = laurent.weight_dimension_grid(datum, walls, [(0, 0, 0)])
+    assert grid.dtype == np.int64
+    assert grid.tolist() == [[0], [0], [1]]
+
+
+def test_weight_grid_rejects_a_remainder(monkeypatch):
+    datum = cartan.build_root_datum(cartan.parse_type("A2"))
+    coroots, denominator = laurent._coroot_data(datum)
+    monkeypatch.setattr(laurent, "_coroot_data", lambda d: (coroots, 7 * denominator))
+    with pytest.raises(DefectError):
+        laurent.weight_dimension_grid(datum, [(0, 0)], [(0, 0), (1, 0)])
+
+
+def test_steinberg_descents_match_root_signs():
+    for name in ("A3", "B3", "G2", "A1xA1"):
+        datum = cartan.build_root_datum(cartan.parse_type(name))
+        weyl = cartan.generate_weyl(datum)
+        expected = []
+        for w in weyl.elements:
+            s = tuple(-1 if cartan._root_sign(datum, cartan.mat_vec(w, alpha)) < 0 else 0
+                      for alpha in datum.simple_roots)
+            expected.append(cartan.mat_vec(w, s))
+        assert flagk.steinberg_weights(datum, weyl) == tuple(expected), name
 
 
 def test_pairing_routes_agree():
@@ -235,8 +291,12 @@ def test_c4_module_is_certified_past_the_table_limit(operator_calls):
     datum = cartan.build_root_datum(cartan.parse_type("C4"))
     weyl = cartan.generate_weyl(datum)
     chars = laurent.fundamental_characters(datum, weyl)
+    laurent.signed_weight_dimension.cache_clear()
     module = flagk.build_module(datum, weyl, chars, audit=True)
     assert module.rank == 384
     assert module.gram_det in (1, -1)
     # only M_i and M_i^-1 are solved from the pairing
     assert len(operator_calls) == 2 * datum.rank
+    # every pairing went through the weight-grid evaluator
+    info = laurent.signed_weight_dimension.cache_info()
+    assert (info.hits, info.misses) == (0, 0)

@@ -476,6 +476,71 @@ def test_hermite_rows_is_idempotent_on_its_output():
         assert np.array_equal(np.asarray(h2, dtype=object), np.asarray(h, dtype=object))
 
 
+_B = linalg._PANEL
+
+
+def _swapping_matrix(rng, n):
+    """Row-permuted upper triangular: each pivot is the one nonzero left
+    in its column, in the row the permutation moved it to."""
+    upper = np.triu(rng.integers(-9, 10, size=(n, n)), 1)
+    upper += np.diag(rng.choice([-3, -2, -1, 1, 2, 3], size=n))
+    return upper[rng.permutation(n)]
+
+
+def _leading_zeros_matrix(rng, n):
+    a = rng.integers(-9, 10, size=(n, n))
+    a[:n - 1, 0] = 0  # the first pivot is the last row
+    a[: n // 2, 1: n // 2] = 0
+    return a
+
+
+@pytest.mark.parametrize("n", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3])
+@pytest.mark.parametrize("shape", [_swapping_matrix, _leading_zeros_matrix])
+@pytest.mark.parametrize("reduce_every", [linalg._EXACT_COLUMNS, 2 * _B])
+def test_modular_kernel_inverse_and_det(n, shape, reduce_every, monkeypatch):
+    # reduce_every = 2b makes the columns right of a panel reduce every other panel
+    monkeypatch.setattr(linalg, "_EXACT_COLUMNS", reduce_every)
+    rng = np.random.default_rng(1000 + n)
+    a = shape(rng, n) if n else np.zeros((0, 0), dtype=np.int64)
+    for p in linalg.crt_primes(2) + [2, 1_000_003]:
+        expected = linalg.det_bareiss(a) % p
+        assert linalg.det_mod(a, p) == expected
+        solved = linalg._inverse_mod(a, p)
+        if expected == 0:
+            assert solved is None
+            continue
+        inv, det = solved
+        assert det == expected
+        assert inv.dtype == np.int64 and inv.min(initial=0) >= 0 and inv.max(initial=0) < p
+        assert np.array_equal(linalg.dot_exact(a, inv) % p, np.eye(n, dtype=np.int64))
+
+
+def test_modular_kernel_rejects_singular_and_wide_moduli():
+    p = linalg.crt_primes(1)[0]
+    rng = np.random.default_rng(7)
+    a = rng.integers(-9, 10, size=(2 * _B + 3, 2 * _B + 3))
+    a[:, _B + 1] = 2 * a[:, 3] - a[:, _B + 2]
+    assert linalg._inverse_mod(a, p) is None
+    assert linalg.det_mod(a, p) == 0
+    with pytest.raises(ValueError):
+        linalg.inverse_unimodular(a)
+    singular_mod_p = np.eye(3, dtype=np.int64)
+    singular_mod_p[2, 2] = p
+    assert linalg._inverse_mod(singular_mod_p, p) is None
+    with pytest.raises(ValueError):
+        linalg.inverse_unimodular(singular_mod_p)
+    with pytest.raises(ValueError):
+        linalg.det_mod(np.eye(2, dtype=np.int64), 1 << 20)
+
+
+def test_unimodular_inverse_reports_the_determinant():
+    for a, det in (([[1, 2], [2, 3]], -1), ([[2, 1], [1, 1]], 1)):
+        a = np.array(a)
+        inv, got = linalg._unimodular_inverse(a)
+        assert got == det
+        assert np.array_equal(linalg.dot_exact(a, inv), np.eye(2, dtype=np.int64))
+
+
 def test_det_mod_agrees_with_exact():
     rng = random.Random(27)
     for _ in range(10):
