@@ -8,7 +8,14 @@ matrix — the freeness certificate that everything downstream leans on.
 Multiplication by each variable ``t_i`` then becomes an integer matrix,
 turning the whole representation-ring quotient into finite exact linear
 algebra.  The unit generates the module over these commuting matrices,
-so every product is a walk of the basis weights by them.
+so every product is a walk of the basis weights by them.  The walk goes
+one coordinate at a time over the whole trie of weights: each step by
+M_i (or M_i^-1) is one exact product with every vector that takes it
+stacked as columns.
+
+Every M_i is solved through the certified Gram inverse, except its
+columns that shift a basis weight onto another one: those are unit
+vectors, since their right-hand sides are columns of the Gram matrix.
 
 Two routes compute the pairing: the contractual composite of Demazure
 operators (:func:`pairing`), and an internal closed form used for bulk
@@ -162,42 +169,78 @@ class FlagKModule:
     def monomial_operator(self, exps: Vector) -> np.ndarray:
         """Matrix of multiplication by ``e^exps``, solved from the pairing.
 
-        Column i is solved from the pairings of e^exps times basis
-        monomial i with every basis monomial.
+        Column b is G^-1 times the pairings of e^(lambda_b + exps) with
+        every basis monomial.  When lambda_b + exps is itself a basis
+        weight lambda_c, those pairings are column c of the Gram matrix
+        G, and G^-1 G = I was certified with the inverse (a square
+        integer matrix's right inverse is its left inverse), so column b
+        is e_c with no solve.  Only the other columns go through
+        ``gram_inv``.
         """
+        m = self.rank
         weights = np.array(self.basis_weights, dtype=np.int64)
-        rhs = laurent.weight_dimension_grid(self.datum, weights, weights + exps)
-        return linalg.dot_exact(self.gram_inv, rhs)
+        shifted = weights + exps
+        where = {w: c for c, w in enumerate(self.basis_weights)}
+        targets = [where.get(tuple(w)) for w in shifted.tolist()]
+        units = [b for b, c in enumerate(targets) if c is not None]
+        solve = [b for b, c in enumerate(targets) if c is None]
+        rhs = laurent.weight_dimension_grid(self.datum, weights, shifted[solve])
+        solved = linalg.dot_exact(self.gram_inv, rhs)
+        out = np.zeros((m, m), dtype=solved.dtype)
+        out[:, solve] = solved
+        out[[targets[b] for b in units], units] = 1
+        return out
 
     def _walk(self, start: np.ndarray, weights) -> list[np.ndarray]:
         """``M^lambda @ start`` for every weight lambda in ``weights``.
 
-        The weights are walked as a prefix trie over their coordinates:
-        children that share a prefix share its product, and each edge is
-        one exact product by M_i or M_i^-1.  ``start`` is a coordinate
-        vector or a matrix.
+        The weights are walked as a prefix trie over their coordinates,
+        one coordinate at a time.  At coordinate d each frontier node
+        groups its weights by lambda_d, and the k-th step by M_d (or by
+        M_d^-1) of every node with a group k or more steps away is one
+        exact product: M_d times those nodes' vectors stacked as columns,
+        split back into columns afterwards.  Coordinate d so costs
+        max lambda_d^+ + max lambda_d^- products, however many nodes
+        there are.  Each split column is shrunk on its own, so every
+        result has the value and dtype that one product per vector would
+        give.  ``start`` is a coordinate vector or a matrix; the result
+        is in the order of ``weights``.
         """
-        out: list = [None] * len(weights)
-
-        def descend(vec: np.ndarray, depth: int, members: list[int]) -> None:
-            if depth == self.datum.rank:
+        shape = start.shape
+        width = shape[1] if start.ndim == 2 else 1
+        frontier = [(start, list(range(len(weights))))]
+        for d in range(self.datum.rank):
+            nodes, children = [], []
+            for vec, members in frontier:
+                groups: dict[int, list[int]] = {}
                 for idx in members:
-                    out[idx] = vec
-                return
-            groups: dict[int, list[int]] = {}
+                    groups.setdefault(int(weights[idx][d]), []).append(idx)
+                if 0 in groups:
+                    children.append((vec, groups[0]))
+                nodes.append((vec, groups))
+            for sign, op in ((1, self.mult_matrices[d]), (-1, self.mult_matrices_inv[d])):
+                moving = [(vec, groups, reach) for vec, groups in nodes
+                          if (reach := max(sign * v for v in groups)) > 0]
+                steps = 0
+                while moving:
+                    steps += 1
+                    block = np.concatenate([vec.reshape(-1, width) for vec, _, _ in moving],
+                                           axis=1)
+                    cols = np.hsplit(linalg.dot_exact(op, block), len(moving))
+                    ahead = []
+                    for col, (_, groups, reach) in zip(cols, moving):
+                        # a copy, so that no result keeps the whole block alive
+                        vec = linalg._shrink(col.reshape(shape).copy())
+                        if sign * steps in groups:
+                            children.append((vec, groups[sign * steps]))
+                        if reach > steps:
+                            ahead.append((vec, groups, reach))
+                    moving = ahead
+            frontier = children
+        out: list = [None] * len(weights)
+        for vec, members in frontier:
             for idx in members:
-                groups.setdefault(int(weights[idx][depth]), []).append(idx)
-            if 0 in groups:
-                descend(vec, depth + 1, groups[0])
-            for sign, op in ((1, self.mult_matrices[depth]),
-                             (-1, self.mult_matrices_inv[depth])):
-                cur = vec
-                for steps in range(1, max(sign * v for v in groups) + 1):
-                    cur = linalg.dot_exact(op, cur)
-                    if sign * steps in groups:
-                        descend(cur, depth + 1, groups[sign * steps])
-
-        descend(start, 0, list(range(len(weights))))
+                out[idx] = vec
         return out
 
     def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -207,7 +250,8 @@ class FlagKModule:
         m x kx x ky result holds the coordinates of x_i * y_j.  The basis
         class b is M^lambda_b u and the M_i commute, so
         x * y = sum_b y_b M^lambda_b x: one walk of the basis weights
-        from all columns of ``xs`` at once, then one exact product with
+        from all columns of ``xs`` at once (one stacked product per
+        coordinate step, see :meth:`_walk`), then one exact product with
         ``ys``.
         """
         kx, ky = xs.shape[1], ys.shape[1]

@@ -207,6 +207,9 @@ def homology_of(cx: ChainComplex, *, audit: bool = True) -> tuple[DegreeHomology
         out.append(DegreeHomology(
             degree=p, betti=betti, torsion=torsion,
             cycle_basis=basis, reduce_matrix=reducer, boundary_out=d_out))
+        # the next degree's Smith forms must not start while these transforms
+        # are still bound: they would set the peak memory
+        del sm_out, folded, relations, sm_rel
     return tuple(out)
 
 

@@ -287,6 +287,99 @@ def test_products_match_pairing_route(pipeline):
                 module.coords(f * g).tolist(), name
 
 
+def _walk_reference(module, start, weight):
+    """M^weight @ start by one exact product per step."""
+    vec = start
+    for d, k in enumerate(weight):
+        op = module.mult_matrices[d] if k > 0 else module.mult_matrices_inv[d]
+        for _ in range(abs(k)):
+            vec = linalg.dot_exact(op, vec)
+    return vec
+
+
+def _walk_weights(module, rng):
+    # the basis weights, then random ones: zero and negative coordinates,
+    # repeats, and coordinates beyond the basis range
+    n = module.datum.rank
+    extra = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(12)]
+    return list(module.basis_weights) + extra + [(0,) * n] + extra[:2]
+
+
+@pytest.mark.parametrize("name", ["B2", "G2", "A3"])
+def test_walk_matches_one_product_per_step(pipeline, name):
+    module = pipeline(name).module
+    rng = random.Random(17)
+    weights = _walk_weights(module, rng)
+    m = module.rank
+    nprng = np.random.default_rng(17)
+    matrix = nprng.integers(-4, 5, size=(m, 3))
+    wide = matrix.astype(object) * (1 << 62) + 1  # entries past 2^62
+    # int64 start whose walk ends in both dtypes: its stacked products mix
+    scaled = module.unit_coords * (1 << 60)
+    for start in (module.unit_coords, matrix, wide, scaled):
+        walked = module._walk(start, weights)
+        assert len(walked) == len(weights)
+        for weight, got in zip(weights, walked):
+            want = _walk_reference(module, start, weight)
+            assert got.dtype == want.dtype, (name, weight)
+            assert got.shape == want.shape, (name, weight)
+            assert got.tolist() == want.tolist(), (name, weight)
+    assert {vec.dtype for vec in module._walk(wide, weights)} == {np.dtype(object)}
+    assert {vec.dtype for vec in module._walk(scaled, weights)} == \
+        {np.dtype(object), np.dtype(np.int64)}
+
+
+@pytest.mark.parametrize("name", ["B2", "G2", "A3"])
+def test_walk_takes_one_product_per_coordinate_step(pipeline, monkeypatch, name):
+    module = pipeline(name).module
+    calls = []
+    original = linalg.dot_exact
+    monkeypatch.setattr(linalg, "dot_exact", lambda a, b: calls.append(1) or original(a, b))
+    rng = random.Random(19)
+    for weights in (module.basis_weights, _walk_weights(module, rng)):
+        calls.clear()
+        module._walk(module.unit_coords, weights)
+        expected = sum(max(0, *(w[d] for w in weights)) + max(0, *(-w[d] for w in weights))
+                       for d in range(module.datum.rank))
+        assert len(calls) == expected, name
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "G2", "A1xA1", "B3", "C3",
+                                  "A4", "D4"])
+def test_operator_solves_only_columns_off_the_basis(pipeline, monkeypatch, name):
+    # column b is e_c when lambda_b + e is the basis weight lambda_c
+    module = pipeline(name).module
+    n, m = module.datum.rank, module.rank
+    weights = np.array(module.basis_weights, dtype=np.int64)
+    basis = set(module.basis_weights)
+    operands = []
+    original = linalg.dot_exact
+
+    def recording(a, b):
+        if a is module.gram_inv:
+            operands.append(b)
+        return original(a, b)
+
+    for i in range(n):
+        for sign in (1, -1):
+            exps = tuple(sign * int(j == i) for j in range(n))
+            shifted = weights + exps
+            full = original(module.gram_inv,
+                            laurent.weight_dimension_grid(module.datum, weights, shifted))
+            operands.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "dot_exact", recording)
+                op = module.monomial_operator(exps)
+            assert op.dtype == full.dtype, (name, exps)
+            assert op.tolist() == full.tolist(), (name, exps)
+            off = [b for b in range(m) if tuple(shifted[b].tolist()) not in basis]
+            assert len(off) < m, (name, exps)  # some column takes the shortcut
+            [rhs] = operands
+            assert rhs.shape == (m, len(off)), (name, exps)
+            assert rhs.tolist() == laurent.weight_dimension_grid(
+                module.datum, weights, shifted[off]).tolist(), (name, exps)
+
+
 def test_c4_module_is_certified_past_the_table_limit(operator_calls):
     datum = cartan.build_root_datum(cartan.parse_type("C4"))
     weyl = cartan.generate_weyl(datum)

@@ -1,4 +1,5 @@
 import random
+import weakref
 from math import comb
 
 import numpy as np
@@ -52,6 +53,26 @@ def test_koszul_of_zero_operators_has_binomial_homology():
     res = homology.homology_of(koszul_complex(ops))
     assert [h.betti for h in res] == [rank * comb(2, p) for p in range(3)]
     assert all(h.torsion == () for h in res)
+
+
+def test_homology_of_frees_each_degree_before_the_next(monkeypatch):
+    # a degree's transforms are dead when the next degree's first Smith
+    # form starts, so they do not add to that degree's peak memory
+    results, alive_at_start = [], []
+    original = linalg.smith
+
+    def tracking(a):
+        if len(results) % 2 == 0:  # the first of a degree's two Smith forms
+            alive_at_start.append([ref() is not None for ref in results])
+        sm = original(a)
+        results.append(weakref.ref(sm))
+        return sm
+
+    monkeypatch.setattr(linalg, "smith", tracking)
+    rng = random.Random(7)
+    res = homology.homology_of(koszul_complex(_commuting_family(rng, 4, 3)))
+    assert len(results) == 2 * len(res) == 8
+    assert alive_at_start == [[False] * (2 * p) for p in range(len(res))]
 
 
 def test_koszul_single_operator_torsion():
