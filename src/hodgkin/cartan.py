@@ -438,21 +438,3 @@ def reduced_words(weyl: WeylGroup, element: Matrix | None = None) -> list[tuple[
         return words
 
     return walk(element)
-
-
-def random_reduced_word(weyl: WeylGroup, rng) -> tuple[int, ...]:
-    """One uniformly-haphazard reduced word for the longest element."""
-    datum = weyl.datum
-    alphas = datum.simple_roots
-    w = identity_matrix(datum.rank)
-    word = []
-    while True:
-        ascents = [
-            i for i in range(datum.rank)
-            if _root_sign(datum, mat_vec(w, alphas[i])) > 0
-        ]
-        if not ascents:
-            return tuple(word)
-        i = rng.choice(ascents)
-        word.append(i)
-        w = mat_mul(w, weyl.simple_reflections[i])

@@ -8,6 +8,20 @@ still emitted, with witnesses), 3 a resource guard tripped.
 
 Reports are deterministic: identical inputs give byte-identical JSON,
 with timings excluded from that contract via ``--no-timings``.
+
+The cache entry (basis, Gram matrix, multiplication matrices) is written
+after every module build and never read back: the module always comes
+from the engine, certified afresh, so no cached datum reaches a report.
+A cache that cannot be written costs one line on stderr, not the run.
+
+Where each fact is checked, once: the Gram determinant and inverse and
+M_i M_i^-1 = I in :func:`flagk.build_module`; that the unit generates,
+that the M_i commute and the defining relations in its module audit;
+d∘d = 0 of the Koszul complex in :func:`homology.homology_of`, as part
+of its reduction; each Smith form by reconstruction; the exterior
+algebra in :mod:`torring`.  ``--no-verify`` skips the module audit and
+the Smith reconstructions only.  ``verify --level full`` re-checks
+d∘d = 0 and more by independent routes.
 """
 
 from __future__ import annotations
@@ -68,7 +82,9 @@ def run_pipeline(type_string: str, *, max_weyl_order: int = cartan.DEFAULT_WEYL_
 
     Usage and resource-guard errors propagate (nothing useful exists
     yet); certification failures after that are captured on the run so
-    the caller can still emit a report with the witness.
+    the caller can still emit a report with the witness.  With
+    ``cache_dir`` the module's cache entry is written there; it is never
+    read.
     """
     ctype = cartan.parse_type(type_string)
     name = str(ctype)
@@ -88,25 +104,14 @@ def run_pipeline(type_string: str, *, max_weyl_order: int = cartan.DEFAULT_WEYL_
         run.timings_ms["characters"] = (clock() - t0) * 1000.0
 
         t0 = clock()
-        cached = _load_cache(cache_dir, name) if cache_dir is not None else None
-        basis = _basis_from_cache(datum, cached)
-        module = None
-        if basis is not None:
-            try:
-                module = flagk.build_module(
-                    datum, run.weyl, run.chars, audit=audit,
-                    basis_weights=basis,
-                    basis_source=cached.get("basis_source", "cached"))
-            except CertificationError:
-                module = None  # stale cache entry, not a pipeline failure
-            if module is not None and not _cache_matches(cached, module):
-                module = None
-        if module is None:
-            module = flagk.build_module(datum, run.weyl, run.chars, audit=audit)
-        run.module = module
+        run.module = flagk.build_module(datum, run.weyl, run.chars, audit=audit)
         run.timings_ms["module"] = (clock() - t0) * 1000.0
         if cache_dir is not None:
-            _save_cache(cache_dir, name, run.module)
+            try:
+                _save_cache(cache_dir, name, run.module)
+            except OSError as exc:
+                # the module is built and certified: only the entry is lost
+                print(f"cache not written: {exc}", file=sys.stderr)
 
         t0 = clock()
         eye = np.eye(run.module.rank, dtype=np.int64)
@@ -143,10 +148,6 @@ def resolve_cache_dir(flag_value: str | None) -> Path:
     return Path.home() / ".cache" / "hodgkin"
 
 
-def _cache_file(cache_dir: Path, name: str) -> Path:
-    return cache_dir / f"{name}.json"
-
-
 def _checksum(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -166,50 +167,13 @@ def _save_cache(cache_dir: Path, name: str, module: flagk.FlagKModule) -> None:
     cache_dir.mkdir(parents=True, exist_ok=True)
     # write beside the entry, then rename over it: a reader sees the old
     # entry or the new one, never a partial file
-    target = _cache_file(cache_dir, name)
+    target = cache_dir / f"{name}.json"
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(json.dumps(payload, sort_keys=True))
         os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def _load_cache(cache_dir: Path, name: str) -> dict | None:
-    path = _cache_file(cache_dir, name)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("format_version") != torring.FORMAT_VERSION:
-        return None
-    if payload.get("cartan_type") != name:
-        return None
-    stored = payload.pop("checksum", None)
-    if stored != _checksum(payload):
-        return None
-    return payload
-
-
-def _basis_from_cache(datum: cartan.RootDatum, payload: dict | None):
-    if payload is None:
-        return None
-    try:
-        basis = tuple(tuple(int(x) for x in w) for w in payload["basis_weights"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    if any(len(w) != datum.rank for w in basis):
-        return None
-    return basis
-
-
-def _cache_matches(payload: dict, module: flagk.FlagKModule) -> bool:
-    """The rebuilt module must reproduce the cached gram and operators."""
-    gram = [[int(x) for x in row] for row in module.gram]
-    mult = [[[int(x) for x in row] for row in m] for m in module.mult_matrices]
-    return payload.get("gram") == gram and payload.get("mult_matrices") == mult
 
 
 # --- report emission ---------------------------------------------------------

@@ -34,6 +34,7 @@ a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -99,7 +100,7 @@ def _certify_gram(datum: RootDatum, weights):
     """
     gram = laurent.weight_dimension_grid(datum, weights, weights)
     try:
-        gram_inv, det = linalg._unimodular_inverse(gram)
+        gram_inv, det = linalg.inverse_unimodular(gram)
     except ValueError:
         witness = {"determinant": linalg.det_exact(gram)}
         raise CertificationError("gram-unimodular", witness=witness) from None
@@ -112,7 +113,8 @@ def _certify_gram(datum: RootDatum, weights):
 class FlagKModule:
     """Exact data of the finite free model.
 
-    ``basis_weights`` are canonically ordered; ``gram`` is the pairing
+    ``basis_weights`` are the Steinberg weights in sorted order (the
+    ``descent-twisted`` basis); ``gram`` is the pairing
     matrix with determinant ``gram_det`` in {+1, -1}; ``gram_inv`` is its
     exact integer inverse.  ``mult_matrices[i]`` is multiplication by
     ``t_i`` in basis coordinates (with ``mult_matrices_inv[i]`` its
@@ -127,7 +129,6 @@ class FlagKModule:
     weyl: WeylGroup
     chars: CharacterSet
     basis_weights: tuple[Vector, ...]
-    basis_source: str
     gram: np.ndarray
     gram_det: int
     gram_inv: np.ndarray
@@ -135,6 +136,7 @@ class FlagKModule:
     mult_matrices_inv: tuple[np.ndarray, ...]
     unit_coords: np.ndarray
     _coords_cache: dict = field(default_factory=dict, repr=False)
+    basis_source: ClassVar[str] = "descent-twisted"
 
     @property
     def rank(self) -> int:
@@ -261,29 +263,26 @@ class FlagKModule:
 
 
 def build_module(datum: RootDatum, weyl: WeylGroup, chars: CharacterSet,
-                 *, audit: bool = True,
-                 basis_weights: tuple[Vector, ...] | None = None,
-                 basis_source: str = "cached") -> FlagKModule:
+                 *, audit: bool = True) -> FlagKModule:
     """Assemble the free model and certify its structure.
 
-    The basis is ``basis_weights`` when given (a cached basis), else
-    the sorted Steinberg weights, labelled ``descent-twisted``.  Always
-    certified: the Gram determinant is +-1 and the inverse is exact
-    (else ``gram-unimodular`` fails, with the determinant as witness);
-    each multiplication matrix composed with its inverse gives the
-    identity.  With ``audit=True`` :func:`_audit_module` also certifies
-    that the unit generates the module and that the module satisfies the
-    defining relations of the quotient.
+    The basis is always the sorted Steinberg weights; nothing is read
+    from a cache.  Always certified: the Gram determinant is +-1 and the
+    inverse is exact (else ``gram-unimodular`` fails, with the
+    determinant as witness); each multiplication matrix composed with
+    its inverse gives the identity.  With ``audit=True``
+    :func:`_audit_module` also certifies that the unit generates the
+    module, that the M_i commute and that the module satisfies the
+    defining relations of the quotient; :func:`homology.koszul_complex`
+    does not check commutativity again.
     """
-    if basis_weights is None:
-        basis_weights = tuple(sorted(steinberg_weights(datum, weyl)))
-        basis_source = "descent-twisted"
+    basis_weights = tuple(sorted(steinberg_weights(datum, weyl)))
     m = len(basis_weights)
     gram, det, gram_inv = _certify_gram(datum, basis_weights)
 
     module = FlagKModule(
         datum=datum, weyl=weyl, chars=chars,
-        basis_weights=tuple(basis_weights), basis_source=basis_source,
+        basis_weights=basis_weights,
         gram=gram, gram_det=int(det), gram_inv=gram_inv,
         mult_matrices=(), mult_matrices_inv=(),
         unit_coords=np.zeros(m, dtype=np.int64),
@@ -316,7 +315,11 @@ def _audit_module(module: FlagKModule) -> None:
 
     1. ``unit-generates``: M^lambda_b u is the basis vector e_b for every
        basis weight lambda_b, so u generates the module over the M_i.
-    2. ``mult-matrices-commute``: M_i M_j = M_j M_i for every pair.
+    2. ``mult-matrices-commute``: M_i M_j = M_j M_i for every pair.  This
+       is the pipeline's one commutativity check; it is what makes the
+       Koszul complex of the M_i - I a complex, and
+       :func:`homology.homology_of` meets d∘d = 0 again, exactly, as a
+       by-product of its reduction.
     3. Each relation P(M) = 0 of the quotient is checked on u alone:
        ``character-relation`` chi_j(M) u = dim_j u for every fundamental
        character, and ``augmentation-nilpotent`` (M_i - I)^N u = 0 with

@@ -360,12 +360,16 @@ def _inverse_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, int] | None:
     return m[:, n:].astype(np.int64), det
 
 
-def _unimodular_inverse(a: np.ndarray) -> tuple[np.ndarray, int]:
+def inverse_unimodular(a: np.ndarray) -> tuple[np.ndarray, int]:
     """(inverse, determinant) of an integer matrix with determinant +-1.
 
-    The determinant is read off the first prime's elimination: its
-    residue must be 1 or p - 1, else the matrix is not unimodular.  See
-    :func:`inverse_unimodular`.
+    Reconstructs the (integral) inverse by CRT from modular inverses,
+    one prime at a time, and certifies ``a @ inverse == I`` exactly after
+    each prime, so it stops at the first modulus that covers the
+    inverse's entries.  The determinant is read off the first prime's
+    elimination: its residue must be 1 or p - 1.  Raises ``ValueError``
+    when the matrix is not unimodular (a unimodular matrix is invertible
+    mod every prime).
     """
     a = as_int_array(a)
     n = a.shape[0]
@@ -401,18 +405,6 @@ def _unimodular_inverse(a: np.ndarray) -> tuple[np.ndarray, int]:
     raise ValueError("inverse reconstruction failed; matrix not unimodular")
 
 
-def inverse_unimodular(a: np.ndarray) -> np.ndarray:
-    """Exact inverse of an integer matrix with determinant +-1.
-
-    Reconstructs the (integral) inverse by CRT from modular inverses,
-    one prime at a time, and certifies ``a @ inverse == I`` exactly after
-    each prime, so it stops at the first modulus that covers the
-    inverse's entries.  Raises ``ValueError`` when the matrix is not
-    unimodular (a unimodular matrix is invertible mod every prime).
-    """
-    return _unimodular_inverse(a)[0]
-
-
 # --- Smith normal form ------------------------------------------------------
 
 @dataclass
@@ -436,13 +428,6 @@ class SmithResult:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diag if d != 0)
-
-    def d_matrix(self, shape: tuple[int, int]) -> np.ndarray:
-        wide = any(abs(v) >= _LIMIT for v in self.diag)
-        d = np.zeros(shape, dtype=object if wide else np.int64)
-        for i, val in enumerate(self.diag):
-            d[i, i] = val
-        return d
 
 
 def _growth(qvec) -> tuple[np.ndarray, int, int]:

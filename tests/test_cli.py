@@ -80,14 +80,14 @@ def test_cache_round_trip_and_corruption(tmp_path, capsys):
                                "checksum", "format_version", "gram",
                                "mult_matrices"]
 
-    # flip one gram entry without fixing the checksum: entry is ignored
+    # the entry is never read back: a corrupted one changes nothing
+    # flip one gram entry without fixing the checksum
     payload["gram"][0][0] += 1
     entry.write_text(json.dumps(payload, sort_keys=True))
     _, rebuilt, _ = _run(args, capsys)
     assert rebuilt == fresh
 
-    # now fix the checksum so the lie is internally consistent: the
-    # rebuilt module no longer matches the entry, so it is discarded
+    # now fix the checksum so the lie is internally consistent
     payload = json.loads(entry.read_text())
     payload.pop("checksum")
     payload["mult_matrices"][0][0][0] += 1
@@ -96,7 +96,7 @@ def test_cache_round_trip_and_corruption(tmp_path, capsys):
     _, cross_checked, _ = _run(args, capsys)
     assert cross_checked == fresh
 
-    # unreadable JSON is treated as a miss, not an error
+    # unreadable JSON is not an error
     entry.write_text("{ not json")
     _, recovered, _ = _run(args, capsys)
     assert recovered == fresh
@@ -159,10 +159,42 @@ def test_cache_never_supplies_the_weyl_group(tmp_path, capsys):
     entry = tmp_path / "A2.json"
     _forge(entry, weyl_elements=elements, longest_word=[0])
     assert _run(args, capsys)[:2] == (0, fresh)
-    # a stale basis makes the pipeline select a new one from the elements
+    # nor does a stale basis beside a forged group
     _forge(entry, weyl_elements=forged, longest_word=word,
            basis_weights=[[0, 0]] * len(elements))
     assert _run(args, capsys)[:2] == (0, fresh)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3"])
+def test_reordered_cache_basis_never_reaches_the_report(tmp_path, capsys, name):
+    # a consistent entry on the reversed basis: Gram and operators permuted
+    # to match, checksum fixed.  Read back, it would flip exterior dets
+    args = ["compute", "--type", name, "--no-timings",
+            "--cache-dir", str(tmp_path)]
+    code, fresh, _ = _run(args, capsys)
+    assert code == 0
+    entry = tmp_path / f"{name}.json"
+    written = json.loads(entry.read_text())
+    _forge(entry, basis_weights=written["basis_weights"][::-1],
+           gram=[row[::-1] for row in written["gram"][::-1]],
+           mult_matrices=[[row[::-1] for row in m[::-1]]
+                          for m in written["mult_matrices"]])
+    assert _run(args, capsys)[:2] == (0, fresh)
+    assert json.loads(entry.read_text()) == written
+
+
+def test_unwritable_cache_keeps_the_report(tmp_path, capsys):
+    fresh_args = ["compute", "--type", "A2", "--no-timings",
+                  "--cache-dir", str(tmp_path / "cache")]
+    code, fresh, _ = _run(fresh_args, capsys)
+    assert code == 0
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory")
+    code_blocked, out, err = _run(["compute", "--type", "A2", "--no-timings",
+                                   "--cache-dir", str(blocker)], capsys)
+    assert (code_blocked, out) == (code, fresh)
+    assert len(err.splitlines()) == 1 and err.startswith("cache not written:")
+    assert blocker.read_text() == "not a directory"
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):

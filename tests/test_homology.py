@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hodgkin import homology, linalg
+from hodgkin.errors import DefectError
 from hodgkin.homology import ChainComplex, koszul_complex
 
 
@@ -25,9 +26,10 @@ def test_complex_constructor_validates():
         ChainComplex(ranks=(1, 1), maps=())
     with pytest.raises(ValueError):
         ChainComplex(ranks=(1, 1), maps=(np.array([[2, 0]]),))
-    with pytest.raises(ValueError):  # d @ d != 0
-        ChainComplex(ranks=(1, 1, 1),
-                     maps=(np.array([[1]]), np.array([[1]])))
+    # d @ d != 0 is not the constructor's to check: homology_of meets it
+    bad = ChainComplex(ranks=(1, 1, 1), maps=(np.array([[1]]), np.array([[1]])))
+    with pytest.raises(DefectError, match="^boundaries escape the kernel at degree 1$"):
+        homology.homology_of(bad)
 
 
 def test_boundary_outside_range_is_zero_shaped():
@@ -43,8 +45,9 @@ def test_koszul_rejects_bad_operators():
         koszul_complex([np.array([[1, 0]])])
     a = np.array([[0, 1], [0, 0]])
     b = np.array([[1, 0], [0, 2]])
-    with pytest.raises(ValueError):  # ab != ba
-        koszul_complex([a, b])
+    # ab != ba: the complex is built, and homology_of finds d @ d != 0
+    with pytest.raises(DefectError, match="^boundaries escape the kernel at degree 1$"):
+        homology.homology_of(koszul_complex([a, b]))
 
 
 def test_koszul_of_zero_operators_has_binomial_homology():
@@ -73,6 +76,30 @@ def test_homology_of_frees_each_degree_before_the_next(monkeypatch):
     res = homology.homology_of(koszul_complex(_commuting_family(rng, 4, 3)))
     assert len(results) == 2 * len(res) == 8
     assert alive_at_start == [[False] * (2 * p) for p in range(len(res))]
+
+
+def test_koszul_build_makes_no_products(pipeline, monkeypatch):
+    # d @ d = 0 and commutativity are not re-checked while building: the
+    # module audit certifies the operators, and homology_of meets d @ d
+    module = pipeline("B2").module
+    eye = np.eye(module.rank, dtype=np.int64)
+    families = [[m - eye for m in module.mult_matrices],
+                _commuting_family(random.Random(3), 4, 3)]
+    calls = []
+    original = linalg.dot_exact
+
+    def counting(a, b):
+        calls.append((a.shape, b.shape))
+        return original(a, b)
+
+    monkeypatch.setattr(linalg, "dot_exact", counting)
+    for ops in families:
+        cx = koszul_complex(ops)
+        ChainComplex(ranks=cx.ranks, maps=cx.maps)
+    assert calls == []
+    monkeypatch.undo()
+    for ops in families:
+        homology.homology_of(koszul_complex(ops))  # and they are complexes
 
 
 def test_koszul_single_operator_torsion():

@@ -156,8 +156,9 @@ def test_inverse_unimodular_roundtrip():
             i, j = rng.randrange(n), rng.randrange(n)
             if i != j:
                 a[i] += rng.randint(-3, 3) * a[j]
-        inv = linalg.inverse_unimodular(a)
+        inv, det = linalg.inverse_unimodular(a)
         assert np.array_equal(linalg.dot_exact(a, inv), np.eye(n, dtype=np.int64))
+        assert det == linalg.det_exact(a)
 
 
 def test_inverse_unimodular_rejects_non_units():
@@ -192,7 +193,8 @@ def test_smith_reconstruction_and_divisibility_random():
         if k % 5 == 2:
             a = a * 10 ** 14  # push the bookkeeping into big-integer range
         sm = linalg.smith(a)
-        d = sm.d_matrix(a.shape)
+        d = np.zeros(a.shape, dtype=object)
+        d[range(len(sm.diag)), range(len(sm.diag))] = sm.diag
         recon = linalg.dot_exact(linalg.dot_exact(sm.u, d), sm.v)
         assert np.array_equal(recon, a)
         live = [x for x in sm.diag if x]
@@ -536,7 +538,7 @@ def test_modular_kernel_rejects_singular_and_wide_moduli():
 def test_unimodular_inverse_reports_the_determinant():
     for a, det in (([[1, 2], [2, 3]], -1), ([[2, 1], [1, 1]], 1)):
         a = np.array(a)
-        inv, got = linalg._unimodular_inverse(a)
+        inv, got = linalg.inverse_unimodular(a)
         assert got == det
         assert np.array_equal(linalg.dot_exact(a, inv), np.eye(2, dtype=np.int64))
 
