@@ -4,7 +4,10 @@ Every weight in this package is written in fundamental-weight coordinates
 (the basis dual to the simple coroots).  In that basis the j-th simple
 root is column j of the Cartan matrix, the i-th simple reflection is the
 integer matrix ``I - alpha_i * e_i^T``, and the whole Weyl group acts by
-unimodular integer matrices.  Product types concatenate their factors
+unimodular integer matrices.  Each positive root also carries its
+integer coefficients in the simple roots, found by the same reflection
+closure that finds the roots, so deciding positivity needs no rational
+arithmetic.  Product types concatenate their factors
 block-diagonally, so a single code path covers semisimple groups.
 
 Numbering of nodes follows Bourbaki throughout (for B the last root is
@@ -15,8 +18,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .errors import ResourceGuardError, UsageError
 
@@ -29,7 +32,7 @@ Matrix = tuple[Vector, ...]
 _TYPE_TOKEN = re.compile(r"([A-Ga-g])(\d+)$")
 
 # family -> (min rank, max rank or None)
-_RANK_WINDOW = {
+RANK_WINDOW = {
     "A": (1, None),
     "B": (2, None),
     "C": (2, None),
@@ -73,7 +76,7 @@ def parse_type(text: str) -> CartanType:
             raise UsageError(f"cannot parse Cartan factor {token!r}")
         family = m.group(1).upper()
         rank = int(m.group(2))
-        lo, hi = _RANK_WINDOW[family]
+        lo, hi = RANK_WINDOW[family]
         if rank < lo or (hi is not None and rank > hi):
             window = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
             raise UsageError(f"family {family} needs rank {window}, got {rank}")
@@ -86,11 +89,11 @@ def weyl_order(ctype: CartanType) -> int:
     total = 1
     for family, n in ctype.factors:
         if family == "A":
-            order = _factorial(n + 1)
+            order = factorial(n + 1)
         elif family in ("B", "C"):
-            order = 2**n * _factorial(n)
+            order = 2**n * factorial(n)
         elif family == "D":
-            order = 2 ** (n - 1) * _factorial(n)
+            order = 2 ** (n - 1) * factorial(n)
         elif family == "E":
             order = {6: 51840, 7: 2903040, 8: 696729600}[n]
         elif family == "F":
@@ -118,13 +121,6 @@ def positive_root_count(ctype: CartanType) -> int:
         else:  # G
             total += 6
     return total
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 # --- Cartan matrices -------------------------------------------------------
@@ -210,7 +206,6 @@ def build_root_datum(ctype: CartanType) -> RootDatum:
 # --- small exact matrix helpers (tuple matrices) ---------------------------
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
@@ -223,41 +218,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
 
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-@lru_cache(maxsize=None)
-def _cartan_inverse(datum: RootDatum) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of the Cartan matrix (rational)."""
-    n = datum.rank
-    a = datum.cartan_matrix
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(aug[i][n + j] for j in range(n)) for i in range(n))
-
-
-def root_coordinates(datum: RootDatum, weight: Vector) -> tuple[Fraction, ...]:
-    """Coordinates of a weight in the simple-root basis (rational)."""
-    cinv = _cartan_inverse(datum)
-    return tuple(sum(row[j] * weight[j] for j in range(datum.rank)) for row in cinv)
-
-
-def _root_sign(datum: RootDatum, weight: Vector) -> int:
-    """+1 / -1 for a positive / negative root, 0 otherwise."""
-    coords = root_coordinates(datum, weight)
-    if all(x >= 0 for x in coords) and any(x > 0 for x in coords):
-        return 1
-    if all(x <= 0 for x in coords) and any(x < 0 for x in coords):
-        return -1
-    return 0
 
 
 # --- reflections and the Weyl group ----------------------------------------
@@ -324,11 +284,6 @@ def generate_weyl(datum: RootDatum, max_order: int = DEFAULT_WEYL_GUARD) -> Weyl
                 if ws not in seen:
                     seen.add(ws)
                     new.append(ws)
-        if len(seen) > max_order:  # backstop; the precheck makes this dead code
-            raise ResourceGuardError(
-                f"Weyl enumeration exceeded the guard {max_order}",
-                required=len(seen),
-            )
         frontier = new
     if len(seen) != expected:
         raise AssertionError(
@@ -357,32 +312,48 @@ def _longest_word(datum: RootDatum, gens: tuple[Matrix, ...]) -> tuple[int, ...]
     return tuple(word)
 
 
-def positive_roots(datum: RootDatum) -> tuple[Vector, ...]:
-    """All positive roots in weight coordinates, sorted by height then lex.
+@lru_cache(maxsize=None)
+def _positive_root_coefficients(datum: RootDatum) -> dict[Vector, Vector]:
+    """Every positive root, mapped to its simple-root coefficients.
 
-    Generated as the closure of the simple roots under simple
-    reflections, keeping the positive ones.
+    Closure of the simple roots under the simple reflections.  s_i sends
+    a root beta to beta - k alpha_i with k = beta_i, its i-th weight
+    coordinate, so it lowers coefficient i by k and keeps the others.
+    The image is a new positive root exactly when that coefficient stays
+    >= 0; the only positive root s_i makes negative is alpha_i itself.
     """
-    roots: set[Vector] = set()
-    frontier = list(datum.simple_roots)
-    gens = [simple_reflection(datum, i) for i in range(datum.rank)]
+    n = datum.rank
+    alphas = datum.simple_roots
+    coeffs = {alpha: tuple(int(j == i) for j in range(n)) for i, alpha in enumerate(alphas)}
+    frontier = list(coeffs)
     while frontier:
         new = []
         for beta in frontier:
-            if beta in roots:
-                continue
-            roots.add(beta)
-            for s in gens:
-                image = mat_vec(s, beta)
-                if image not in roots and _root_sign(datum, image) > 0:
+            c = coeffs[beta]
+            for i, alpha in enumerate(alphas):
+                k = beta[i]
+                if c[i] < k:
+                    continue
+                image = tuple(b - k * a for b, a in zip(beta, alpha))
+                if image not in coeffs:
+                    coeffs[image] = c[:i] + (c[i] - k,) + c[i + 1:]
                     new.append(image)
         frontier = new
+    return coeffs
 
-    def height(beta: Vector):
-        coords = root_coordinates(datum, beta)
-        return sum(coords)
 
-    return tuple(sorted(roots, key=lambda b: (height(b), b)))
+def _root_sign(datum: RootDatum, weight: Vector) -> int:
+    """+1 / -1 for a positive / negative root, 0 otherwise."""
+    roots = _positive_root_coefficients(datum)
+    if weight in roots:
+        return 1
+    return -1 if tuple(-x for x in weight) in roots else 0
+
+
+def positive_roots(datum: RootDatum) -> tuple[Vector, ...]:
+    """All positive roots in weight coordinates, sorted by height then lex."""
+    coeffs = _positive_root_coefficients(datum)
+    return tuple(sorted(coeffs, key=lambda beta: (sum(coeffs[beta]), beta)))
 
 
 @lru_cache(maxsize=None)
@@ -390,20 +361,12 @@ def positive_coroots(datum: RootDatum) -> tuple[Vector, ...]:
     """Positive coroots as coefficient vectors in the simple-coroot basis.
 
     The coroots of a root system are the roots of the dual system, whose
-    Cartan matrix is the transpose; a root's simple-root coordinates in
+    Cartan matrix is the transpose; a root's simple-root coefficients in
     the dual system are exactly the coroot's simple-coroot coefficients.
-    All coefficients are integers.
     """
-    n = datum.rank
-    transposed = tuple(zip(*datum.cartan_matrix))
-    dual = RootDatum(datum.ctype, tuple(tuple(row) for row in transposed))
-    out = []
-    for beta in positive_roots(dual):
-        coords = root_coordinates(dual, beta)
-        if any(x.denominator != 1 for x in coords):
-            raise AssertionError("coroot with non-integer coefficients")
-        out.append(tuple(int(x) for x in coords))
-    return tuple(out)
+    dual = RootDatum(datum.ctype, tuple(zip(*datum.cartan_matrix)))
+    coeffs = _positive_root_coefficients(dual)
+    return tuple(coeffs[beta] for beta in positive_roots(dual))
 
 
 def is_dominant(weight: Vector) -> bool:
@@ -412,8 +375,8 @@ def is_dominant(weight: Vector) -> bool:
 
 # --- reduced words ----------------------------------------------------------
 
-def reduced_words(weyl: WeylGroup, element: Matrix | None = None) -> list[tuple[int, ...]]:
-    """All reduced words for ``element`` (default: the longest element).
+def reduced_words(weyl: WeylGroup) -> list[tuple[int, ...]]:
+    """All reduced words for the longest element.
 
     Recursion on right descents: i is a right descent of w exactly when
     w(alpha_i) is a negative root, and then every reduced word of w with
@@ -421,8 +384,6 @@ def reduced_words(weyl: WeylGroup, element: Matrix | None = None) -> list[tuple[
     for small-rank verification (A3 already has 16 words for w0).
     """
     datum = weyl.datum
-    if element is None:
-        element = weyl.longest_element
     alphas = datum.simple_roots
     memo: dict[Matrix, list[tuple[int, ...]]] = {identity_matrix(datum.rank): [()]}
 
@@ -437,4 +398,4 @@ def reduced_words(weyl: WeylGroup, element: Matrix | None = None) -> list[tuple[
         memo[w] = words
         return words
 
-    return walk(element)
+    return walk(weyl.longest_element)

@@ -42,15 +42,8 @@ from . import cartan, flagk, homology, laurent, torring, verify
 from .errors import (CertificationError, DefectError, ResourceGuardError,
                      UsageError)
 
-_FAMILY_NOTES = (
-    ("A", "rank >= 1", "special unitary"),
-    ("B", "rank >= 2", "odd orthogonal"),
-    ("C", "rank >= 2", "symplectic"),
-    ("D", "rank >= 3", "even orthogonal"),
-    ("E", "rank 6, 7, 8", "E7/E8 exceed the default guard"),
-    ("F", "rank 4", ""),
-    ("G", "rank 2", ""),
-)
+_FAMILY_NOTES = {"A": "special unitary", "B": "odd orthogonal", "C": "symplectic",
+                 "D": "even orthogonal", "E": "E7/E8 exceed the default guard"}
 
 
 # --- pipeline ----------------------------------------------------------------
@@ -280,11 +273,21 @@ def cmd_verify(args) -> int:
 
 def cmd_list_types(_args) -> int:
     print("Supported Cartan types (products join with 'x', e.g. A2xA1):")
-    for family, ranks, note in _FAMILY_NOTES:
-        suffix = f"  -- {note}" if note else ""
-        print(f"  {family}: {ranks}{suffix}")
-    print(f"Default Weyl-order guard: {cartan.DEFAULT_WEYL_GUARD}"
-          " (raise with --max-weyl-order; E7 needs 2903040, E8 696729600)")
+    bounded = []  # every type of a family with a top rank
+    for family, (lo, hi) in cartan.RANK_WINDOW.items():
+        if hi is None:
+            ranks = f"rank >= {lo}"
+        else:
+            ranks = "rank " + ", ".join(str(r) for r in range(lo, hi + 1))
+            bounded += [f"{family}{r}" for r in range(lo, hi + 1)]
+        note = _FAMILY_NOTES.get(family)
+        print(f"  {family}: {ranks}" + (f"  -- {note}" if note else ""))
+    guard = cartan.DEFAULT_WEYL_GUARD
+    orders = {name: cartan.weyl_order(cartan.parse_type(name)) for name in bounded}
+    needs = ", ".join(f"{name} {order}" for name, order in orders.items() if order > guard)
+    # "E7 needs 2903040, E8 696729600"
+    print(f"Default Weyl-order guard: {guard}"
+          f" (raise with --max-weyl-order; {needs.replace(' ', ' needs ', 1)})")
     print("Cache directory: --cache-dir flag, else HODGKIN_CACHE_DIR,"
           " else ~/.cache/hodgkin")
     return 0

@@ -140,12 +140,12 @@ def fast_checks(run) -> list[CheckResult]:
 
 # --- full level: randomized property suites ---------------------------------
 
-def check_demazure_properties(datum, trials: int = 120,
-                              seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def check_demazure_properties(datum, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Idempotence and reflection-invariance of each divided-difference
     operator on random Laurent polynomials."""
     rng = random.Random(seed)
     n = datum.rank
+    trials = 120
 
     def idempotent():
         for _ in range(trials):
@@ -170,11 +170,11 @@ def check_demazure_properties(datum, trials: int = 120,
             _guard("demazure-reflection-invariant", invariant)]
 
 
-def check_word_independence(datum, weyl, polys: int = 4,
-                            seed: int = DEFAULT_SEED) -> CheckResult:
+def check_word_independence(datum, weyl, seed: int = DEFAULT_SEED) -> CheckResult:
     """Every reduced word of the longest element gives the same composite
     operator.  Full enumeration — intended for rank <= 3."""
     def body():
+        polys = 4
         words = cartan.reduced_words(weyl)
         rng = random.Random(seed)
         for _ in range(polys):
@@ -186,10 +186,10 @@ def check_word_independence(datum, weyl, polys: int = 4,
     return _guard("longest-word-independence", body)
 
 
-def check_decompose_roundtrip(nvars: int, trials: int = 120,
-                              seed: int = DEFAULT_SEED) -> CheckResult:
+def check_decompose_roundtrip(nvars: int, seed: int = DEFAULT_SEED) -> CheckResult:
     """decompose_augmentation_ideal must reassemble its input exactly."""
     def body():
+        trials = 120
         rng = random.Random(seed)
         for _ in range(trials):
             f = _random_poly(rng, nvars)
@@ -205,11 +205,11 @@ def check_decompose_roundtrip(nvars: int, trials: int = 120,
     return _guard("ideal-decompose-roundtrip", body)
 
 
-def check_pairing_routes(datum, weyl, trials: int = 40,
-                         seed: int = DEFAULT_SEED) -> CheckResult:
+def check_pairing_routes(datum, weyl, seed: int = DEFAULT_SEED) -> CheckResult:
     """The Demazure pairing and its closed form agree on random monomials."""
     def body():
         from . import flagk
+        trials = 40
         rng = random.Random(seed)
         n = datum.rank
         for _ in range(trials):
@@ -239,10 +239,11 @@ def check_character_dimensions(datum, chars) -> CheckResult:
     return _guard("character-dimension-formula", body)
 
 
-def check_smith_random(trials: int = 60, seed: int = DEFAULT_SEED) -> CheckResult:
+def check_smith_random(seed: int = DEFAULT_SEED) -> CheckResult:
     """Smith decompositions on random shapes, audited exactly; includes
     zero, empty, and deliberately oversized-entry matrices."""
     def body():
+        trials = 60
         rng = np.random.default_rng(seed)
         shapes = [(0, 4), (4, 0), (1, 1), (3, 3)]
         shapes += [tuple(int(x) for x in rng.integers(1, 9, size=2))
@@ -300,12 +301,12 @@ def check_rational_oracle(datum, weyl, chars, module) -> CheckResult:
     return _guard("rational-series-oracle", body)
 
 
-def check_graded_commutativity(run, trials: int = 8,
-                               seed: int = DEFAULT_SEED) -> CheckResult:
+def check_graded_commutativity(run, seed: int = DEFAULT_SEED) -> CheckResult:
     """a*b = (-1)^{pq} b*a in homology coordinates for random products
     of the degree-1 generators."""
     def body():
         from . import torring
+        trials = 8
         rng = random.Random(seed)
         ring, module, homres = run.ring, run.module, run.homology
         n = module.datum.rank

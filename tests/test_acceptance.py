@@ -102,20 +102,25 @@ def test_criterion_6_independent_oracles(pipeline):
 
 
 def test_criterion_7_property_suites(pipeline):
-    failures = []
+    failures, demazure_witnesses = [], []
     for name in ALL_TYPES:
         run = pipeline(name)
-        results = list(verify.check_demazure_properties(run.datum, trials=120))
+        results = verify.check_demazure_properties(run.datum)
+        demazure_witnesses += [r.witness for r in results]
         results += [verify.check_character_dimensions(run.datum, run.chars),
                     verify.check_boundary_squares(run.chain_complex)]
         if run.datum.rank <= 3:
             results.append(verify.check_word_independence(run.datum, run.weyl))
             results.append(verify.check_pairing_routes(run.datum, run.weyl))
         failures += [(name, r.name, r.witness) for r in results if not r.passed]
-    smith = verify.check_smith_random(trials=60)
+    smith = verify.check_smith_random()
     if not smith.passed:
         failures.append(("-", smith.name, smith.witness))
     assert failures == [], failures
+    # the suites ran their full counts: 120 random polynomials per
+    # Demazure property, 60 Smith matrices
+    assert demazure_witnesses == [{"trials": 120}] * (2 * len(ALL_TYPES))
+    assert smith.witness == {"matrices": 60}
     _conclude(7, "randomized property suites, zero failures")
 
 
