@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import prod
 
 from .errors import ResourceGuardError, UsageError
 
@@ -84,24 +84,46 @@ def parse_type(text: str) -> CartanType:
     return CartanType(tuple(factors))
 
 
-def weyl_order(ctype: CartanType) -> int:
-    """Order of the Weyl group, by the classical closed forms."""
-    total = 1
+def _order_factors(ctype: CartanType):
+    """|W| as a product of small integers, by the classical closed forms:
+    (n+1)! for A_n, 2^n n! for B_n and C_n, 2^(n-1) n! for D_n."""
     for family, n in ctype.factors:
         if family == "A":
-            order = factorial(n + 1)
+            yield from range(2, n + 2)
         elif family in ("B", "C"):
-            order = 2**n * factorial(n)
+            yield from range(2, 2 * n + 1, 2)
         elif family == "D":
-            order = 2 ** (n - 1) * factorial(n)
-        elif family == "E":
-            order = {6: 51840, 7: 2903040, 8: 696729600}[n]
-        elif family == "F":
-            order = 1152
-        else:  # G
-            order = 12
-        total *= order
-    return total
+            yield from range(4, 2 * n + 1, 2)
+        else:
+            yield {"E6": 51840, "E7": 2903040, "E8": 696729600,
+                   "F4": 1152, "G2": 12}[f"{family}{n}"]
+
+
+def weyl_order(ctype: CartanType) -> int:
+    """Order of the Weyl group, by the classical closed forms."""
+    return prod(_order_factors(ctype))
+
+
+def guarded_weyl_order(ctype: CartanType, max_order: int) -> int:
+    """|W| when it is at most ``max_order``, else :class:`ResourceGuardError`.
+
+    The closed form's factors are multiplied only until the product
+    passes the guard, so a type far above it costs a few factors.  The
+    error reports |W| as the required bound when the product was
+    complete, and a lower bound on it otherwise.
+    """
+    order = 1
+    factors = _order_factors(ctype)
+    for factor in factors:
+        order *= factor
+        if order > max_order:
+            # the product is |W| only when no factor is left
+            required = order if next(factors, None) is None else None
+            size = f"order {order}" if required else f"order more than {order}"
+            raise ResourceGuardError(
+                f"Weyl group of {ctype} has {size}, above the guard {max_order};"
+                " raise --max-weyl-order to proceed", required=required)
+    return order
 
 
 def positive_root_count(ctype: CartanType) -> int:
@@ -263,16 +285,9 @@ def generate_weyl(datum: RootDatum, max_order: int = DEFAULT_WEYL_GUARD) -> Weyl
     """Enumerate the Weyl group by closure under the simple reflections.
 
     Raises :class:`ResourceGuardError` (before doing any work) when the
-    closed-form order already exceeds ``max_order``; the error reports the
-    bound that would be required.
+    closed-form order exceeds ``max_order``, see :func:`guarded_weyl_order`.
     """
-    expected = weyl_order(datum.ctype)
-    if expected > max_order:
-        raise ResourceGuardError(
-            f"Weyl group of {datum.ctype} has order {expected}, "
-            f"above the guard {max_order}; raise --max-weyl-order to proceed",
-            required=expected,
-        )
+    expected = guarded_weyl_order(datum.ctype, max_order)
     gens = tuple(simple_reflection(datum, i) for i in range(datum.rank))
     seen = {identity_matrix(datum.rank)}
     frontier = list(seen)

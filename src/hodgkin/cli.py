@@ -19,9 +19,8 @@ M_i M_i^-1 = I in :func:`flagk.build_module`; that the unit generates,
 that the M_i commute and the defining relations in its module audit;
 d∘d = 0 of the Koszul complex in :func:`homology.homology_of`, as part
 of its reduction; each Smith form by reconstruction; the exterior
-algebra in :mod:`torring`.  ``--no-verify`` skips the module audit and
-the Smith reconstructions only.  ``verify --level full`` re-checks
-d∘d = 0 and more by independent routes.
+algebra in :mod:`torring`.  ``verify --level full`` re-checks d∘d = 0
+and more by independent routes.
 """
 
 from __future__ import annotations
@@ -74,12 +73,14 @@ def run_pipeline(type_string: str, *, max_weyl_order: int = cartan.DEFAULT_WEYL_
     """Run cartan -> laurent -> flagk -> homology -> torring for one type.
 
     Usage and resource-guard errors propagate (nothing useful exists
-    yet); certification failures after that are captured on the run so
-    the caller can still emit a report with the witness.  With
-    ``cache_dir`` the module's cache entry is written there; it is never
-    read.
+    yet); the Weyl-order guard is checked on the parsed type, before
+    anything is built.  Certification failures after that are captured
+    on the run so the caller can still emit a report with the witness.
+    With ``cache_dir`` the module's cache entry is written there; it is
+    never read.
     """
     ctype = cartan.parse_type(type_string)
+    cartan.guarded_weyl_order(ctype, max_weyl_order)
     name = str(ctype)
     clock = time.perf_counter
     t0 = clock()
@@ -227,9 +228,11 @@ def _emit(report: torring.KReport, fmt: str, out: str | None) -> None:
 # --- commands ----------------------------------------------------------------
 
 def cmd_compute(args) -> int:
+    # checked before the run, so a bad path does not cost the report
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise UsageError(f"--out: {args.out} is not a file in an existing directory")
     try:
         run = run_pipeline(args.type, max_weyl_order=args.max_weyl_order,
-                           audit=not args.no_verify,
                            cache_dir=resolve_cache_dir(args.cache_dir))
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
@@ -246,7 +249,6 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     try:
         run = run_pipeline(args.type, max_weyl_order=args.max_weyl_order,
-                           audit=True,
                            cache_dir=resolve_cache_dir(args.cache_dir))
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
@@ -315,8 +317,6 @@ def _build_parser() -> _Parser:
     common(compute)
     compute.add_argument("--format", choices=("json", "text"), default="json")
     compute.add_argument("--out", default=None, help="write the report to a file")
-    compute.add_argument("--no-verify", action="store_true",
-                         help="skip the expensive self-audits")
     compute.add_argument("--no-timings", action="store_true",
                          help="emit an empty timings table (deterministic output)")
     compute.set_defaults(handler=cmd_compute)

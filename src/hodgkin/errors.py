@@ -21,7 +21,8 @@ class ResourceGuardError(EngineError):
     """A configured resource bound would be exceeded.
 
     ``required`` carries the bound that would have been needed, so the
-    message can tell the user which flag to raise.
+    message can tell the user which flag to raise; it is None when that
+    bound is too large to form.
     """
 
     def __init__(self, message: str, required: int | None = None):

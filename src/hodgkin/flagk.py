@@ -33,7 +33,7 @@ a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -135,7 +135,6 @@ class FlagKModule:
     mult_matrices: tuple[np.ndarray, ...]
     mult_matrices_inv: tuple[np.ndarray, ...]
     unit_coords: np.ndarray
-    _coords_cache: dict = field(default_factory=dict, repr=False)
     basis_source: ClassVar[str] = "descent-twisted"
 
     @property
@@ -144,27 +143,19 @@ class FlagKModule:
 
     # -- coordinates ----------------------------------------------------
 
-    def _rhs_vector(self, exps: Vector) -> np.ndarray:
-        """Pairings of ``e^exps`` against every basis monomial."""
-        return laurent.weight_dimension_grid(self.datum, [exps], self.basis_weights)[0]
-
-    def monomial_coords(self, exps: Vector) -> np.ndarray:
-        cached = self._coords_cache.get(exps)
-        if cached is None:
-            cached = linalg.dot_exact(self.gram_inv, self._rhs_vector(exps))
-            self._coords_cache[exps] = cached
-        return cached
-
     def coords(self, f: LaurentPoly) -> np.ndarray:
         """Coordinates of the class of ``f`` in the chosen basis.
 
-        Exact by construction: the Gram matrix is unimodular, so the
-        normal-equation solve has a unique integer solution.
+        One solve, as in :meth:`monomial_operator`: G^-1 times the
+        pairings of ``f`` with every basis monomial, which are the
+        pairing grid of the basis weights with f's monomials applied to
+        f's coefficients.  Exact by construction: the Gram matrix is
+        unimodular, so the normal-equation solve has a unique integer
+        solution.
         """
-        out = np.zeros(self.rank, dtype=object)
-        for exps, coeff in f.terms.items():
-            out = out + coeff * self.monomial_coords(exps).astype(object)
-        return linalg._shrink(out)
+        grid = laurent.weight_dimension_grid(self.datum, self.basis_weights, list(f.terms))
+        rhs = linalg.dot_exact(grid, linalg.as_int_array(list(f.terms.values())))
+        return linalg.dot_exact(self.gram_inv, rhs)
 
     # -- multiplication -------------------------------------------------
 
@@ -289,8 +280,7 @@ def build_module(datum: RootDatum, weyl: WeylGroup, chars: CharacterSet,
     )
 
     n = datum.rank
-    unit = tuple(0 for _ in range(n))
-    module.unit_coords = module.monomial_coords(unit)
+    module.unit_coords = module.coords(LaurentPoly.monomial((0,) * n))
 
     mult, mult_inv = [], []
     for i in range(n):

@@ -23,6 +23,9 @@ then take them in one BLAS product, T <- T + Y T[panel rows].  It is
 exact for the same reason: p < 2^20 keeps every entry and factor below
 2^20, so a panel product with b <= 2^12 terms sums to below 2^52, and
 every reduction x - floor(x/p) p is corrected into [0, p) exactly.
+Every exact determinant and every exact inverse goes through that one
+kernel: residues modulo primes below 2^20, each lifted into the last by
+one CRT step, then read off as the symmetric representative.
 
 The Smith normal form keeps four transforms (U, U^-1, V, V^-1 with
 A = U D V) because downstream homology needs kernels *and* kernel
@@ -161,57 +164,26 @@ def dot_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # --- primes and CRT ---------------------------------------------------------
 
-_SMALL_PRIMES: list[int] = []
 _CRT_PRIMES: list[int] = []
-
-
-def _small_primes() -> list[int]:
-    if not _SMALL_PRIMES:
-        sieve = np.ones(1100, dtype=bool)
-        sieve[:2] = False
-        for i in range(2, 34):
-            if sieve[i]:
-                sieve[i * i::i] = False
-        _SMALL_PRIMES.extend(int(i) for i in np.nonzero(sieve)[0])
-    return _SMALL_PRIMES
 
 
 def crt_primes(count: int) -> list[int]:
     """The first ``count`` primes descending from 2^20 (20-bit moduli keep
-    all modular arithmetic comfortably inside int64)."""
-    small = _small_primes()
+    all modular arithmetic comfortably inside int64).  An odd candidate
+    below 2^20 is prime exactly when no odd d < 2^10 divides it."""
     candidate = _CRT_PRIMES[-1] - 2 if _CRT_PRIMES else (1 << 20) - 1
     while len(_CRT_PRIMES) < count:
-        is_prime = True
-        for p in small:
-            if p * p > candidate:
-                break
-            if candidate % p == 0:
-                is_prime = False
-                break
-        if is_prime:
+        if all(candidate % d for d in range(3, 1 << 10, 2)):
             _CRT_PRIMES.append(candidate)
         candidate -= 2
     return _CRT_PRIMES[:count]
 
 
-def _crt_combine(residues: list[int], moduli: list[int]) -> int:
-    """Symmetric representative congruent to every residue."""
-    x, m = 0, 1
-    for r, p in zip(residues, moduli):
-        delta = ((r - x) * pow(m % p, p - 2, p)) % p
-        x += m * delta
-        m *= p
-    if 2 * x > m:
-        x -= m
-    return x
-
-
-def _mod_array(a: np.ndarray, p: int) -> np.ndarray:
-    if a.dtype == object:
-        return np.array([[int(x) % p for x in row] for row in a], dtype=np.int64) \
-            if a.ndim == 2 else np.array([int(x) % p for x in a], dtype=np.int64)
-    return (a % p).astype(np.int64)
+def _crt_step(x, modulus: int, residue, p: int):
+    """The x' in [0, modulus * p) congruent to x mod ``modulus`` and to
+    ``residue`` mod p, for x in [0, modulus); integers or arrays alike."""
+    delta = ((residue - x % p) * pow(modulus % p, p - 2, p)) % p
+    return x + modulus * delta
 
 
 def _reduce_mod(x: np.ndarray, p: int) -> None:
@@ -298,7 +270,7 @@ def _gauss_jordan_mod(m: np.ndarray, p: int) -> int:
 
 def det_mod(a: np.ndarray, p: int) -> int:
     """Determinant modulo a prime p < 2^20, by Gauss–Jordan over F_p."""
-    return _gauss_jordan_mod(_mod_array(a, p).astype(np.float64), p)
+    return _gauss_jordan_mod((a % p).astype(np.float64), p)
 
 
 def _hadamard_bits(a: np.ndarray) -> int:
@@ -313,47 +285,21 @@ def _hadamard_bits(a: np.ndarray) -> int:
     return bits
 
 
-def det_bareiss(a) -> int:
-    """Fraction-free determinant; right choice for small dense matrices."""
-    m = [[int(x) for x in row] for row in np.asarray(a, dtype=object)]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def det_exact(a: np.ndarray) -> int:
-    """Exact determinant: Bareiss when small, CRT + Hadamard bound when big."""
+    """Exact determinant: its residue mod enough primes to cover twice the
+    Hadamard bound, lifted by CRT to the symmetric representative."""
     a = as_int_array(a)
-    n = a.shape[0]
-    if n == 0:
-        return 1
-    if n <= 12:
-        return det_bareiss(a)
-    bits = _hadamard_bits(a)
-    primes = crt_primes(bits // 19 + 2)
-    residues = [det_mod(a, p) for p in primes]
-    return _crt_combine(residues, primes)
+    x, modulus = 0, 1
+    for p in crt_primes(_hadamard_bits(a) // 19 + 2):
+        x = _crt_step(x, modulus, det_mod(a, p), p)
+        modulus *= p
+    return x - modulus if 2 * x > modulus else x
 
 
 def _inverse_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, int] | None:
     """(inverse, determinant) over F_p, or None when singular mod p."""
     n = a.shape[0]
-    m = np.concatenate([_mod_array(a, p), np.eye(n, dtype=np.int64)],
-                       axis=1).astype(np.float64)
+    m = np.concatenate([(a % p).astype(np.float64), np.eye(n)], axis=1)
     det = _gauss_jordan_mod(m, p)
     if det == 0:
         return None
@@ -393,8 +339,7 @@ def inverse_unimodular(a: np.ndarray) -> tuple[np.ndarray, int]:
         # 0 <= x < modulus * p below, and 2x is formed: int64 while that fits
         if x.dtype != object and modulus * p > _LIMIT:
             x = x.astype(object)
-        delta = ((inv_p - x % p) * pow(modulus % p, p - 2, p)) % p
-        x = x + modulus * delta
+        x = _crt_step(x, modulus, inv_p, p)
         modulus *= p
         # symmetric lift, then certify
         lifted = _shrink(np.where(2 * x > modulus, x - modulus, x))

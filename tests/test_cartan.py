@@ -89,6 +89,19 @@ def test_resource_guard_reports_required_order():
     # a raised guard admits the group (don't run it: 7e8 elements)
 
 
+def test_guard_multiplies_only_until_it_passes():
+    assert cartan.guarded_weyl_order(cartan.parse_type("A9"), 10 ** 7) == 3628800
+    with pytest.raises(ResourceGuardError) as info:
+        cartan.guarded_weyl_order(cartan.parse_type("E7"), 10 ** 6)
+    assert info.value.required == 2903040
+    assert "has order 2903040," in str(info.value)
+    # (10^9 + 1)! is never formed: the guard stops at 9!
+    with pytest.raises(ResourceGuardError) as info:
+        cartan.guarded_weyl_order(cartan.parse_type("A1000000000"), 250_000)
+    assert info.value.required is None
+    assert "has order more than 362880," in str(info.value)
+
+
 def test_reduced_words_of_longest_element():
     datum = cartan.build_root_datum(cartan.parse_type("A2"))
     weyl = cartan.generate_weyl(datum)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -26,6 +27,37 @@ def test_resource_guard_exits_three(capsys):
     code, _, err = _run(["compute", "--type", "E8"], capsys)
     assert code == 3
     assert "696729600" in err
+
+
+@pytest.mark.parametrize("name", ["A3000", "A100000", "A1000000000", "C100000"])
+def test_resource_guard_fires_before_anything_is_built(name, monkeypatch, capsys):
+    def refuse(ctype):
+        raise AssertionError("the root datum was built before the guard")
+    monkeypatch.setattr(cartan, "build_root_datum", refuse)
+    start = time.perf_counter()
+    code, out, err = _run(["compute", "--type", name], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("resource guard: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_out_must_name_a_file_in_an_existing_directory(target, tmp_path, monkeypatch,
+                                                       capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline ran before --out was checked")
+    monkeypatch.setattr(cli, "run_pipeline", refuse)
+    code, out, err = _run(["compute", "--type", "A1", "--out", str(tmp_path / target)],
+                          capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_no_verify_flag_is_gone(capsys):
+    code, _, err = _run(["compute", "--type", "A1", "--no-verify"], capsys)
+    assert code == 1
+    assert "--no-verify" in err
 
 
 def test_compute_json_report(tmp_path, capsys):

@@ -288,6 +288,31 @@ def test_products_match_pairing_route(pipeline):
                 module.coords(f * g).tolist(), name
 
 
+def _assert_coords_are_linear(module, polys):
+    # coords solves the whole polynomial at once; it must be linear in it
+    for f in polys:
+        expected = np.zeros(module.rank, dtype=object)
+        for exps, coeff in f.terms.items():
+            expected += coeff * module.coords(LaurentPoly.monomial(exps)).astype(object)
+        assert module.coords(f).tolist() == expected.tolist()
+
+
+def _generator_cofactors(chars):
+    """The cofactors that assemble each degree-1 Tor generator."""
+    return [cof for relator in chars.relators
+            for cof in laurent.decompose_augmentation_ideal(relator)]
+
+
+def test_coords_are_linear_in_the_polynomial(pipeline):
+    rng = random.Random(35)
+    for name in ("B2", "A3"):
+        run = pipeline(name)
+        polys = [_random_laurent(rng, run.datum.rank) for _ in range(4)]
+        _assert_coords_are_linear(run.module, polys + _generator_cofactors(run.chars))
+        zero = run.module.coords(LaurentPoly.zero(run.datum.rank))
+        assert zero.tolist() == [0] * run.module.rank
+
+
 def _walk_reference(module, start, weight):
     """M^weight @ start by one exact product per step."""
     vec = start
@@ -391,6 +416,8 @@ def test_c4_module_is_certified_past_the_table_limit(operator_calls):
     assert module.gram_det in (1, -1)
     # only M_i and M_i^-1 are solved from the pairing
     assert len(operator_calls) == 2 * datum.rank
-    # every pairing went through the weight-grid evaluator
+    _assert_coords_are_linear(module, _generator_cofactors(chars))
+    # every pairing, of the build and of the coordinate solves, went
+    # through the weight-grid evaluator
     info = laurent.signed_weight_dimension.cache_info()
     assert (info.hits, info.misses) == (0, 0)

@@ -59,6 +59,41 @@ def test_det_exact_huge_entries():
     assert linalg.det_exact(a) == big - 1
 
 
+@pytest.mark.parametrize("n", range(1, 21))
+def test_det_exact_against_fraction_elimination_by_size(n):
+    # one modular path for every size: random, singular, negated and
+    # object-dtype matrices with entries past 2^63
+    rng = np.random.default_rng(300 + n)
+    a = rng.integers(-9, 10, size=(n, n))
+    singular = a.copy()
+    singular[-1] = singular[0] * 3 if n > 1 else 0
+    negated = a.copy()
+    negated[[0, -1]] = negated[[-1, 0]]
+    if n == 1:
+        negated = -negated
+    wide = a.astype(object) * (1 << 64) + 1
+    for case in (a, singular, negated, wide):
+        expected = _fraction_det(case.tolist())
+        assert linalg.det_exact(case) == expected
+    assert linalg.det_exact(singular) == 0
+    assert linalg.det_exact(negated) == -_fraction_det(a.tolist())
+
+
+def test_det_exact_of_the_crt_primes_themselves():
+    # both residues are 0 on the first two primes
+    p1, p2 = linalg.crt_primes(2)
+    assert linalg.det_exact(np.diag([p1, p2])) == p1 * p2
+    assert linalg.det_exact(np.diag([-p1, p2])) == -p1 * p2
+
+
+def test_crt_primes_are_pinned():
+    assert linalg.crt_primes(30) == [
+        1048573, 1048571, 1048559, 1048549, 1048517, 1048507, 1048447, 1048433,
+        1048423, 1048391, 1048387, 1048367, 1048361, 1048357, 1048343, 1048309,
+        1048291, 1048273, 1048261, 1048219, 1048217, 1048213, 1048193, 1048189,
+        1048139, 1048129, 1048127, 1048123, 1048063, 1048051]
+
+
 def _reference_dot(a, b):
     """Schoolbook product over Python integers, with np.dot's shapes."""
     a2 = a.reshape(1, -1) if a.ndim == 1 else a
@@ -504,8 +539,9 @@ def test_modular_kernel_inverse_and_det(n, shape, reduce_every, monkeypatch):
     monkeypatch.setattr(linalg, "_EXACT_COLUMNS", reduce_every)
     rng = np.random.default_rng(1000 + n)
     a = shape(rng, n) if n else np.zeros((0, 0), dtype=np.int64)
+    det_a = _fraction_det(a.tolist())
     for p in linalg.crt_primes(2) + [2, 1_000_003]:
-        expected = linalg.det_bareiss(a) % p
+        expected = det_a % p
         assert linalg.det_mod(a, p) == expected
         solved = linalg._inverse_mod(a, p)
         if expected == 0:

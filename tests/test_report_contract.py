@@ -21,6 +21,9 @@ COMPUTE_JSON = {
     "G2": "881a9a4f40c3e7f3a9e2d95569a1695802b021250f35adf2c877b84305d693d8",
 }
 
+# D4 is pinned through the session's memoized run, not a second build
+COMPUTE_JSON_D4 = "1e232392fee461a9fe73471b41cd9f4a1c0d97b075fe63329f092f4a81554a5e"
+
 VERIFY_FULL = {
     "A1": "dc64a9164e0d675a1d8ca276d15a18bacabbf32d2a4abad9fa00e0188ec3fd65",
     "A1xA1": "e93e49f273a4a53559f11e9d62aaccf0acad8d9aeded55c0c615b4520bd56c18",
@@ -50,3 +53,10 @@ def test_verify_full_tables_are_pinned(tmp_path, capsys):
     for name, digest in VERIFY_FULL.items():
         argv = ["verify", "--type", name, "--level", "full"]
         assert _stdout_digest(argv, tmp_path, capsys) == digest, name
+
+
+def test_d4_compute_json_report_is_pinned(pipeline, monkeypatch, tmp_path, capsys):
+    run = pipeline("D4")
+    monkeypatch.setattr(cli, "run_pipeline", lambda *args, **kwargs: run)
+    argv = ["compute", "--type", "D4", "--no-timings", "--format", "json"]
+    assert _stdout_digest(argv, tmp_path, capsys) == COMPUTE_JSON_D4
