@@ -13,7 +13,13 @@ Every matrix product goes through :func:`dot_exact`, which runs on
 float64 BLAS and is still exact: float64 holds every integer below 2^53,
 and an integer product whose entries, factors and partial sums all stay
 below 2^53 is computed without rounding, in whatever order the sums are
-taken.  Wider operands are cut into digits narrow enough for that bound.
+taken.  Inner index k adds at most max|a[:, k]| * max|b[k, :]| to any
+partial sum, so a group of inner indices whose such terms sum below 2^53
+keeps every partial sum over it below 2^53.  The narrow indices form one
+such group and take one plain product; only the wide rest is cut into
+digits narrow enough for the bound.  Consecutive digit products whose
+shifts lie within a few bits are summed in int64 before they reach an
+output held in Python integers, where each addition is a slow pass.
 
 Modular elimination (inverses and determinants over F_p) is one
 Gauss–Jordan kernel on float64, run in column panels.  Inside a panel
@@ -37,7 +43,11 @@ of U^T and V that are still rows of the identity are known by the column
 of their 1, so adding them is a scatter rather than a product, and every
 other update skips the columns where its source is zero.  The pivot
 policy, and with it every transform entry, is independent of that
-storage and of which provably unchanged entries an update skips.
+storage and of which provably unchanged entries an update skips.  The
+pivot is the entry of least nonzero magnitude, first in row-major order.
+While a +-1 remains, that is the first +-1 of the first row holding one,
+so the search scans the rows from the top and stops there; only a
+submatrix with no unit left is searched whole.
 """
 
 from __future__ import annotations
@@ -122,17 +132,111 @@ def _split(abits: int, bbits: int, room: int) -> tuple[int, int]:
     return best
 
 
+def _plan(amax: int, bmax: int, inner: int) -> tuple[int, int, int, int]:
+    """(na, wa, nb, wb): digit counts and widths of the two operands of a
+    product over ``inner`` terms, with the fewest products that are exact.
+    One product when amax * bmax * inner < 2^53."""
+    abits, bbits = amax.bit_length(), bmax.bit_length()
+    na, nb = (1, 1) if amax * bmax * inner < 1 << _FLOAT_EXACT_BITS else \
+        _split(abits, bbits, _FLOAT_EXACT_BITS - inner.bit_length())
+    return na, -(-abits // na), nb, -(-bbits // nb)
+
+
+def _line_bits(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Upper bounds on the bit lengths of max(hi, -lo), entry by entry."""
+    if hi.dtype == object:
+        tops = (max(x, -y) for x, y in zip(hi.tolist(), lo.tolist()))
+        return np.array([x.bit_length() for x in tops], dtype=np.int64)
+    # float64 holds |-2^63| and rounds by less than a power of two, so its
+    # exponent is the bit length or one more
+    top = np.maximum(hi.astype(np.float64), -lo.astype(np.float64))
+    return np.frexp(top)[1].astype(np.int64)
+
+
+def _inner_groups(a: np.ndarray, b: np.ndarray, amax: int, bmax: int):
+    """The inner indices of ``a @ b`` in groups, each (indices, plan).
+
+    Index k adds at most max|a[:, k]| * max|b[k, :]| < 2^w_k to any partial
+    sum, w_k the sum of the two bit lengths, and nothing when either line
+    is zero; those indices are dropped.  The narrow group takes the others
+    in increasing w_k while the sum of their 2^w_k stays below 2^53: every
+    partial sum over it is an integer float64 holds exactly, in any order,
+    so it is one plain product.  Only the wide rest is cut into digits, by
+    its own maxima and over its own, shorter, inner dimension.  The groups
+    are taken only when they need fewer products than the whole inner
+    dimension in one split.
+    """
+    plan = _plan(amax, bmax, a.shape[1])
+    if plan[0] * plan[2] == 1:
+        return [(slice(None), plan)]
+    ahi, alo, bhi, blo = a.max(axis=0), a.min(axis=0), b.max(axis=1), b.min(axis=1)
+    abits, bbits = _line_bits(ahi, alo), _line_bits(bhi, blo)
+    # 2^54 stands for every wider term: none of them is narrow
+    terms = np.where((abits > 0) & (bbits > 0),
+                     np.exp2(np.minimum(abits + bbits, _FLOAT_EXACT_BITS + 1)), 0.0)
+    order = np.argsort(terms, kind="stable")
+    zero = int(np.count_nonzero(terms == 0))
+    cut = int(np.searchsorted(np.cumsum(terms[order]), 2.0 ** _FLOAT_EXACT_BITS))
+    if zero == 0 and cut == a.shape[1]:
+        return [(slice(None), (1, 0, 1, 0))]  # all narrow: no copies
+    narrow, wide = np.sort(order[zero:cut]), np.sort(order[cut:])
+    groups = [(narrow, (1, 0, 1, 0))] if narrow.size else []
+    products = len(groups)
+    if wide.size:
+        wide_plan = _plan(max(int(ahi[wide].max()), -int(alo[wide].min())),
+                          max(int(bhi[wide].max()), -int(blo[wide].min())), wide.size)
+        groups.append((wide, wide_plan))
+        products += wide_plan[0] * wide_plan[2]
+    return groups if products < plan[0] * plan[2] else [(slice(None), plan)]
+
+
+def _add_products(out: np.ndarray, a: np.ndarray, b: np.ndarray, groups) -> None:
+    """out += a @ b over the inner index ``groups`` of (indices, plan), one
+    float64 product per pair of digits.
+
+    Every product is an integer below 2^53 (the plans see to that).  A
+    run of consecutive products whose shifts lie within a few bits of each
+    other is summed in int64 first, while the sum provably stays below
+    2^62; the run then costs one shift and add on ``out``, which is the
+    one pass in Python integers when ``out`` is dtype=object.
+    """
+    run, base, top, count = None, 0, 0, 0
+    for cols, (na, wa, nb, wb) in groups:
+        b_digits = list(_digits(b[cols], wb, nb))
+        for i, da in enumerate(_digits(a[:, cols], wa, na)):
+            for j, db in enumerate(b_digits):
+                shift = wa * i + wb * j
+                lo, hi = min(base, shift), max(top, shift)
+                if run is not None and \
+                        (count + 1) << (_FLOAT_EXACT_BITS + hi - lo) >= _LIMIT:
+                    out += run.astype(out.dtype, copy=False) << base
+                    run = None
+                # every partial sum is an integer below 2^53: the cast is exact
+                part = (da @ db).astype(np.int64)
+                if run is None:
+                    run, base, top, count = part, shift, shift, 1
+                else:
+                    run <<= base - lo
+                    run += part << (shift - lo)
+                    base, top, count = lo, hi, count + 1
+    if run is not None:
+        out += run.astype(out.dtype, copy=False) << base
+
+
 def dot_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of 1-D or 2-D integer arrays, with ``np.dot`` shapes.
 
     With k the inner dimension, max|a| * max|b| * k bounds every partial
     sum.  Below 2^53 one float64 matmul is exact, whatever order BLAS
-    sums in.  Otherwise one operand or both are cut into signed digits
-    of a base 2^s chosen so that each digit product passes the same bound
-    with the fewest products.  These are shifted and added on the output
-    alone: in int64 when the bound is below 2^62, in Python integers
-    otherwise.  The result is int64 when its entries fit and dtype=object
-    when they do not.
+    sums in.  Otherwise the inner indices are grouped by width
+    (:func:`_inner_groups`): those whose terms sum below 2^53 take one
+    plain product, and only the wide rest is cut into signed digits of a
+    base 2^s chosen so that each digit product passes the same bound with
+    the fewest products.  The grouping is used only when it takes fewer
+    products than cutting the whole operands.  The products are shifted
+    and added on the output alone: in int64 when the bound is below 2^62,
+    in Python integers otherwise.  The result is int64 when its entries
+    fit and dtype=object when they do not.
     """
     a = as_int_array(a)
     b = as_int_array(b)
@@ -148,16 +252,7 @@ def dot_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((a2.shape[0], b2.shape[1]),
                    dtype=np.int64 if bound < _LIMIT else object)
     if bound:
-        abits, bbits = amax.bit_length(), bmax.bit_length()
-        na, nb = (1, 1) if bound < 1 << _FLOAT_EXACT_BITS else \
-            _split(abits, bbits, _FLOAT_EXACT_BITS - inner.bit_length())
-        wa, wb = -(-abits // na), -(-bbits // nb)
-        b_digits = list(_digits(b2, wb, nb))
-        for i, da in enumerate(_digits(a2, wa, na)):
-            for j, db in enumerate(b_digits):
-                # every partial sum is an integer below 2^53: the cast is exact
-                part = (da @ db).astype(np.int64)
-                out += part.astype(out.dtype, copy=False) << (wa * i + wb * j)
+        _add_products(out, a2, b2, _inner_groups(a2, b2, amax, bmax))
     out = _shrink(out).reshape(a.shape[:-1] + b.shape[1:])
     return out if out.ndim else out[()]
 
@@ -580,9 +675,22 @@ def _pivot_index(sub: np.ndarray) -> int | None:
     """Flat index of the least nonzero |entry|, first in row-major order;
     None when every entry is zero.
 
-    On int64, one argmin over |x| - 1 viewed as uint64: zeros wrap to the
+    While a +-1 remains it is the least nonzero magnitude, so the pivot
+    is the first +-1 of the first row that holds one.  The rows are
+    scanned in order for it, in blocks of 1, 2, 4, ... rows: a unit near
+    the top costs a row or two, one far down at most twice the rows above
+    it.  Only when no +-1 is left does the whole submatrix take one argmin.
+    On int64 that runs over |x| - 1 viewed as uint64: zeros wrap to the
     largest key, and every other key is at most 2^63 - 2.
     """
+    rows, cols = sub.shape
+    lo = 0
+    while lo < rows:
+        hi = min(2 * lo + 1, rows)
+        unit = np.flatnonzero(np.abs(sub[lo:hi]) == 1)
+        if unit.size:
+            return lo * cols + int(unit[0])
+        lo = hi
     key = np.abs(sub)
     if key.dtype == object:
         nonzero = key != 0
@@ -718,6 +826,10 @@ def audit_smith(a: np.ndarray, sm: SmithResult) -> None:
     """Certify a Smith decomposition: reconstruction, unimodular
     transforms, nonnegative divisibility chain.
 
+    The transforms are checked as U U^-1 = I and V^-1 V = I.  U and V^-1
+    are the ones that swell, and they do so in a few columns; on the left
+    of the product those columns are inner indices, which
+    :func:`dot_exact` cuts into digits apart from the narrow rest.
     Matrices up to 400 rows and columns get fully exact checks; U D is
     formed by scaling the first rank-many columns of U.  Above that the
     identities are certified by randomized projection probes —
@@ -746,7 +858,7 @@ def audit_smith(a: np.ndarray, sm: SmithResult) -> None:
         recon = dot_exact(sm.u, _shrink(scaled))
         if not np.array_equal(recon, dot_exact(a, probe)):
             raise DefectError("Smith reconstruction U @ D @ V != A (probe)")
-    for name, mat, inv in (("U", sm.u, sm.u_inv), ("V", sm.v, sm.v_inv)):
+    for name, mat, inv in (("U", sm.u, sm.u_inv), ("V", sm.v_inv, sm.v)):
         n = mat.shape[0]
         if n <= 400:
             if not np.array_equal(dot_exact(mat, inv), np.eye(n, dtype=np.int64)):

@@ -164,9 +164,30 @@ def test_dot_exact_wide_inner_dimension_and_big_integers():
     _assert_matches_reference(np.array([-(1 << 63)]), np.array([-1]))
 
 
-def test_dot_exact_cancelling_wide_operands_stay_int64():
+def _count_products(monkeypatch) -> list[int]:
+    """Digit products of each dot_exact call, by wrapping the helper that
+    takes them."""
+    counts = []
+    add = linalg._add_products
+
+    def counted(out, a, b, groups):
+        counts.append(sum(plan[0] * plan[2] for _, plan in groups))
+        return add(out, a, b, groups)
+
+    monkeypatch.setattr(linalg, "_add_products", counted)
+    return counts
+
+
+def _one_split_products(a, b) -> int:
+    """Digit products of one split over the whole inner dimension."""
+    na, _, nb, _ = linalg._plan(linalg._maxabs(a), linalg._maxabs(b), a.shape[-1])
+    return na * nb
+
+
+def test_dot_exact_cancelling_wide_operands_stay_int64(monkeypatch):
     # the shape of the C4 normal-equation solve: a 28-bit operand times a
     # 27-bit one over k = 384, whose products cancel to a small result
+    counts = _count_products(monkeypatch)
     rng = np.random.default_rng(30)
     p = rng.integers(-(1 << 27), 1 << 27, size=(48, 190))
     q = rng.integers(-(1 << 26), 1 << 26, size=(190, 40))
@@ -179,6 +200,62 @@ def test_dot_exact_cancelling_wide_operands_stay_int64():
     assert got.dtype == np.int64
     assert np.array_equal(got, s @ t)
     assert np.asarray(got).tolist() == _reference_dot(a, b)
+    # uniform widths: grouping the inner indices takes no more products
+    assert counts == [_one_split_products(a, b)] == [2]
+
+
+def _wide_inner_operands(rng, m, k, n, wide, sides):
+    """a (m x k) and b (k x n) with entries of at most 10 bits, except at
+    the inner indices ``wide``: there the columns of a (if "a" in sides)
+    and the rows of b (if "b" in sides) hold entries of up to 200 bits.
+    Each comes back int64 when it fits."""
+    a = np.array([[rng.randint(-1023, 1023) for _ in range(k)] for _ in range(m)],
+                 dtype=object)
+    b = np.array([[rng.randint(-1023, 1023) for _ in range(n)] for _ in range(k)],
+                 dtype=object)
+    for t in wide:
+        if "a" in sides:
+            a[:, t] = [rng.choice((-1, 1)) * rng.getrandbits(200) for _ in range(m)]
+        if "b" in sides:
+            b[t, :] = [rng.choice((-1, 1)) * rng.getrandbits(200) for _ in range(n)]
+    return linalg._shrink(a), linalg._shrink(b)
+
+
+def test_dot_exact_groups_wide_inner_indices(monkeypatch):
+    # a few 200-bit inner indices among <= 10-bit ones, the shape of the
+    # Smith transforms of A4's degree-2 relations
+    counts = _count_products(monkeypatch)
+    rng = random.Random(42)
+    wide = (3, 17, 41)
+    for sides in ("ab", "a", "b"):
+        a, b = _wide_inner_operands(rng, 40, 60, 30, wide, sides)
+        # both orientations, 1-D operands, and int64 with object operands
+        for x, y in ((a, b), (b.T, a.T), (a[5], b), (a, b[:, 7]), (a[5], b[:, 7])):
+            counts.clear()
+            _assert_matches_reference(x, y)
+            assert counts[0] <= _one_split_products(x, y), (sides, x.shape, y.shape)
+    # wide on both sides of an index: the wide group alone is cut into
+    # digits, over 3 indices rather than 60
+    a, b = _wide_inner_operands(rng, 40, 60, 30, wide, "ab")
+    counts.clear()
+    linalg.dot_exact(a, b)
+    assert counts == [65] and _one_split_products(a, b) == 80
+    # 200-bit terms that cancel: an int64 result
+    s, t = _wide_inner_operands(rng, 40, 20, 30, (), "")
+    x, y = np.hstack([a, a, s]), np.vstack([b, -b, t])
+    counts.clear()
+    got = linalg.dot_exact(x, y)
+    assert got.dtype == np.int64 and np.array_equal(got, s @ t)
+    assert got.tolist() == _reference_dot(x, y)
+    assert counts[0] < _one_split_products(x, y)
+    # an index whose other side is zero adds nothing, however wide: it
+    # must not reach a float64 product (2^1100 does not fit one)
+    x, y = s.astype(object), t.copy()
+    x[:, 4], y[4, :] = 1 << 1100, 0
+    counts.clear()
+    _assert_matches_reference(x, y)
+    _assert_matches_reference(y.T, x.T)
+    assert counts == [1, 1]
 
 
 def test_inverse_unimodular_roundtrip():
@@ -242,17 +319,88 @@ def test_smith_reconstruction_and_divisibility_random():
                                   np.eye(n, dtype=np.int64))
 
 
+def _reference_pivot(sub) -> int | None:
+    """Least nonzero |x|, first in row-major order, by a Python loop."""
+    best = None
+    for flat, x in enumerate(sub.ravel().tolist()):
+        if x and (best is None or abs(x) < best[0]):
+            best = (abs(x), flat)
+    return None if best is None else best[1]
+
+
+def _pivot_cases():
+    """Seeded matrices up to 40 x 60: a unit in row 0, units only in a
+    later row or only in the last, only -1s, no unit (least entry 2 or
+    3), all zeros, int64 extremes, and object entries past 2^64."""
+    rng = np.random.default_rng(41)
+    for k in range(64):
+        rows, cols = int(rng.integers(1, 41)), int(rng.integers(1, 61))
+        kind = k % 8
+        a = rng.choice([0, 0, 0, 2, -2, 3, -3, 5, -7, 9], size=(rows, cols))
+        if kind == 3:
+            a[rng.random(a.shape) < 0.2] = 0
+            yield a
+            continue
+        if kind == 4:
+            yield np.zeros((rows, cols), dtype=np.int64)
+            continue
+        if kind == 6:   # int64 extremes: |-2^63| wraps in int64
+            a = a * ((1 << 62) // 9)
+            a.flat[int(rng.integers(a.size))] = -(1 << 63)
+        units = int(rng.integers(1, 4))
+        row = {0: 0, 5: rows - 1}.get(kind, int(rng.integers(min(1, rows - 1), rows)))
+        for _ in range(units):
+            sign = -1 if kind == 2 else int(rng.choice((-1, 1)))
+            a[int(rng.integers(row, rows)), int(rng.integers(cols))] = sign
+        if kind == 7:   # past 2^64, with and without a unit left
+            a = a.astype(object) * (1 << 64)
+            if k % 16 == 7:
+                a[a == 1 << 64] = 1
+        yield a
+
+
 def test_pivot_search_takes_first_least_nonzero_magnitude():
     rng = random.Random(29)
+    cases = []
     for k in range(40):
         a = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), span=3)
         if k % 4 == 1:
             a = a.astype(object)
         elif k % 4 == 3:
             a = a.astype(object) * 2 ** 64  # past int64
-        live = [(abs(int(x)), i) for i, x in enumerate(a.flat) if x]
-        want = min(live)[1] if live else None
+        cases.append(a)
+    kinds = {"unit": 0, "no unit": 0, "zero": 0, "object": 0}
+    for a in cases + list(_pivot_cases()):
+        want = _reference_pivot(a)
         assert linalg._pivot_index(a) == want, a
+        if a.dtype == object:
+            kinds["object"] += 1
+        if want is None:
+            kinds["zero"] += 1
+        elif abs(int(a.flat[want])) == 1:
+            kinds["unit"] += 1
+        else:
+            kinds["no unit"] += 1
+    assert all(kinds.values()), kinds
+
+
+def test_pivot_index_matches_the_reference_inside_smith(pipeline, monkeypatch):
+    # every pivot search of a real Smith form, checked as it happens
+    search = linalg._pivot_index
+    calls = 0
+
+    def checked(sub):
+        nonlocal calls
+        got = search(sub)
+        assert got == _reference_pivot(sub)
+        calls += 1
+        return got
+
+    monkeypatch.setattr(linalg, "_pivot_index", checked)
+    for name in ("A3", "B3"):
+        for d in pipeline(name).chain_complex.maps:
+            linalg.smith(d)
+    assert calls > 200
 
 
 def test_growth_bounds_match_python_loops():
@@ -477,6 +625,36 @@ def test_audit_catches_tampered_decomposition():
                              u_inv=sm.u_inv, v=sm.v, v_inv=sm.v_inv)
     with pytest.raises(DefectError):
         linalg.audit_smith(a, bad)
+
+
+def test_audit_rejects_a_tampered_wide_transform_entry(pipeline, monkeypatch):
+    # A4's degree-2 relations: U and V^-1 reach 185 and 190 bits in a few
+    # columns, which the audit's products take as a separate wide group of
+    # inner indices; a changed entry there must not slip through
+    maps = pipeline("A4").chain_complex.maps
+    sm_out = linalg.smith(maps[1])
+    relations = linalg.dot_exact(sm_out.v, maps[2])[sm_out.rank:, :]
+    sm = linalg.smith(relations)
+    groups = linalg._inner_groups
+    split = []
+
+    def seen(a, b, amax, bmax):
+        out = groups(a, b, amax, bmax)
+        split.append(len(out))
+        return out
+
+    monkeypatch.setattr(linalg, "_inner_groups", seen)
+    linalg.audit_smith(relations, sm)  # the honest result passes
+    assert 2 in split
+    for name in ("u", "v_inv"):
+        mat = getattr(sm, name)
+        i, j = next(ij for ij, x in np.ndenumerate(mat) if abs(x) >> 100)
+        bad = mat.copy()
+        bad[i, j] += 1
+        fields = {f: getattr(sm, f) for f in ("diag", "u", "u_inv", "v", "v_inv")}
+        fields[name] = bad
+        with pytest.raises(DefectError):
+            linalg.audit_smith(relations, linalg.SmithResult(**fields))
 
 
 def test_audit_probe_path_on_wide_matrix():
