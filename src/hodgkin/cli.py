@@ -18,7 +18,8 @@ Where each fact is checked, once: the Gram determinant and inverse and
 M_i M_i^-1 = I in :func:`flagk.build_module`; that the unit generates,
 that the M_i commute and the defining relations in its module audit;
 d∘d = 0 of the Koszul complex in :func:`homology.homology_of`, as part
-of its reduction; each Smith form by reconstruction; the exterior
+of its reduction, with each boundary's rank and invariant factors (an
+exact audit of its leading Smith blocks) and the cycles; the exterior
 algebra in :mod:`torring`.  ``verify --level full`` re-checks d∘d = 0
 and more by independent routes.
 """
@@ -77,7 +78,8 @@ def run_pipeline(type_string: str, *, max_weyl_order: int = cartan.DEFAULT_WEYL_
     anything is built.  Certification failures after that are captured
     on the run so the caller can still emit a report with the witness.
     With ``cache_dir`` the module's cache entry is written there; it is
-    never read.
+    never read.  ``audit`` governs only the flag module's audit; the
+    homology is always certified.
     """
     ctype = cartan.parse_type(type_string)
     cartan.guarded_weyl_order(ctype, max_weyl_order)
@@ -114,7 +116,7 @@ def run_pipeline(type_string: str, *, max_weyl_order: int = cartan.DEFAULT_WEYL_
         run.timings_ms["koszul"] = (clock() - t0) * 1000.0
 
         t0 = clock()
-        run.homology = homology.homology_of(run.chain_complex, audit=audit)
+        run.homology = homology.homology_of(run.chain_complex)
         run.timings_ms["homology"] = (clock() - t0) * 1000.0
 
         t0 = clock()

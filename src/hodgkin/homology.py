@@ -8,8 +8,8 @@ boundaries rewritten in kernel coordinates (reading off invariant
 factors).  The table of Betti numbers and torsion alone needs only the
 rank and invariant factors of each boundary map, which sparse
 elimination of unit pivots finds before one Smith form of what is left.
-All arithmetic is exact; every Smith decomposition is audited by
-reconstruction before its factors are used.
+All arithmetic is exact, and every audit exact and deterministic; what
+:func:`homology_of` audits, and why that suffices, is set out there.
 
 The one builder needed downstream is the Koszul complex of a family of
 commuting operators: degree p is one copy of the underlying module per
@@ -164,17 +164,27 @@ def _canonical_free_basis(basis: np.ndarray, reducer: np.ndarray):
     return new_basis, new_reducer
 
 
-def homology_of(cx: ChainComplex, *, audit: bool = True) -> tuple[DegreeHomology, ...]:
+def homology_of(cx: ChainComplex) -> tuple[DegreeHomology, ...]:
     """Homology of the complex in every degree, lowest first.
 
-    Per degree: the outgoing boundary's Smith form cuts out the kernel;
-    the incoming boundary is rewritten in kernel coordinates (its rows
-    above the kernel block must vanish, else ``DefectError``: this is an
-    exact test of d_out d_in = 0, so every complex this function reduces
-    is checked to be one, at no extra cost); a second Smith form
-    splits the free part from the invariant factors.  Free generators
-    are Hermite-canonicalized so re-runs produce identical bases, and
-    each degree ends with two retraction checks.
+    Per degree p: the Smith form of d_p cuts out the kernel Z_p; d_{p+1}
+    is rewritten in kernel coordinates, and a second Smith form, of
+    these relations, yields free generators z (Hermite-canonicalized, so
+    re-runs give identical bases) and a reducer R.  Four exact checks,
+    each raising ``DefectError``, certify the result:
+
+    1. the leading rank-r blocks of d_p's Smith form pass
+       :func:`linalg.audit_smith`, which certifies r_p = rank d_p and
+       its invariant factors; as U[:, :r] D_r is injective, the rows
+       V[:r] d_{p+1} of the fold vanish exactly when d_p d_{p+1} = 0;
+    2. d_p z = 0, R z = I and R d_{p+1} = 0;
+    3. b_p = rank C_p - r_p - r_{p+1};
+    4. the torsion is the invariant factors of d_{p+1} above 1.
+
+    The relations' Smith form needs no audit.  R maps Z_p onto Z^b, split
+    by z, and vanishes on B_p, so its kernel on Z_p has rank r_{p+1} =
+    rank B_p; modulo B_p that kernel is the torsion of H_p, which is the
+    torsion of coker d_{p+1}, as C_p / Z_p is free.
 
     This stays on dense Smith forms: their pivots choose the complement
     of the boundaries in the cycles, the canonicalization keeps that
@@ -182,25 +192,24 @@ def homology_of(cx: ChainComplex, *, audit: bool = True) -> tuple[DegreeHomology
     Another elimination order would give an equally valid basis and
     different reported signs.
     """
-    out = []
+    out, factors = [], []
     for p in range(cx.length + 1):
         d_out = cx.boundary(p)
         d_in = cx.boundary(p + 1)
         sm_out = linalg.smith(d_out)
-        if audit:
-            linalg.audit_smith(d_out, sm_out)
         r = sm_out.rank
-        kernel_rank = cx.ranks[p] - r
+        linalg.audit_smith(d_out, linalg.SmithResult(
+            diag=sm_out.diag[:r], u=sm_out.u[:, :r], u_inv=sm_out.u_inv[:r],
+            v=sm_out.v[:r], v_inv=sm_out.v_inv[:, :r]))
+        factors.append(sm_out.diag[:r])
         folded = linalg.dot_exact(sm_out.v, d_in)
         if np.any(folded[:r, :]):
             raise DefectError(f"boundaries escape the kernel at degree {p}")
         relations = folded[r:, :]
         sm_rel = linalg.smith(relations)
-        if audit:
-            linalg.audit_smith(relations, sm_rel)
         s = sm_rel.rank
         torsion = tuple(int(d) for d in sm_rel.diag[:s] if d > 1)
-        betti = kernel_rank - s
+        betti = cx.ranks[p] - r - s
         basis = linalg.dot_exact(sm_out.v_inv[:, r:], sm_rel.u[:, s:])
         reducer = linalg.dot_exact(sm_rel.u_inv[s:, :], sm_out.v[r:, :])
         basis, reducer = _canonical_free_basis(basis, reducer)
@@ -209,12 +218,17 @@ def homology_of(cx: ChainComplex, *, audit: bool = True) -> tuple[DegreeHomology
         if not np.array_equal(linalg.dot_exact(reducer, basis),
                               np.eye(betti, dtype=np.int64)):
             raise DefectError(f"reduction is not a retraction at degree {p}")
+        if np.any(linalg.dot_exact(reducer, d_in)):
+            raise DefectError(f"the reduction does not vanish on boundaries at degree {p}")
         out.append(DegreeHomology(
             degree=p, betti=betti, torsion=torsion,
             cycle_basis=basis, reduce_matrix=reducer, boundary_out=d_out))
         # the next degree's Smith forms must not start while these transforms
         # are still bound: they would set the peak memory
         del sm_out, folded, relations, sm_rel
+    for h, row in zip(out, _table(cx, factors)):
+        if (h.betti, h.torsion) != (row.betti, row.torsion):
+            raise DefectError(f"homology disagrees with boundary factors at degree {h.degree}")
     return tuple(out)
 
 
@@ -306,19 +320,23 @@ def homology_table(cx: ChainComplex) -> tuple[HomologyRow, ...]:
     summand, and its torsion is the invariant factors of d_{p+1} above 1.
     No cycles are produced; :func:`homology_of` does that.
     """
-    ranks, factors = [0], []    # ranks[p]: rank of d_p; factors[p]: those of d_{p+1}
+    factors = [[]]
     for d in cx.maps:
         pivots, residual = _eliminate_unit_pivots(d)
         sm = linalg.smith(residual)
         linalg.audit_smith(residual, sm)
-        ranks.append(pivots + sm.rank)
-        factors.append(sm.diag)
-    ranks.append(0)
-    factors.append([])
+        factors.append([1] * pivots + sm.diag[:sm.rank])
+    return _table(cx, factors)
+
+
+def _table(cx: ChainComplex, factors) -> tuple[HomologyRow, ...]:
+    """Homology rows from the nonzero invariant factors of each d_p,
+    p = 0 .. length; d_{length+1} is zero."""
+    factors = list(factors) + [[]]
     return tuple(
         HomologyRow(degree=p,
-                    betti=cx.ranks[p] - ranks[p] - ranks[p + 1],
-                    torsion=tuple(int(x) for x in factors[p] if x > 1))
+                    betti=cx.ranks[p] - len(factors[p]) - len(factors[p + 1]),
+                    torsion=tuple(int(x) for x in factors[p + 1] if x > 1))
         for p in range(cx.length + 1))
 
 

@@ -47,7 +47,9 @@ storage and of which provably unchanged entries an update skips.  The
 pivot is the entry of least nonzero magnitude, first in row-major order.
 While a +-1 remains, that is the first +-1 of the first row holding one,
 so the search scans the rows from the top and stops there; only a
-submatrix with no unit left is searched whole.
+submatrix with no unit left is searched whole.  :func:`audit_smith`
+certifies a Smith form, or its leading blocks, by exact products at
+every size; nothing here draws random numbers.
 """
 
 from __future__ import annotations
@@ -823,51 +825,28 @@ def _scale_columns(m: np.ndarray, factors) -> np.ndarray:
 
 
 def audit_smith(a: np.ndarray, sm: SmithResult) -> None:
-    """Certify a Smith decomposition: reconstruction, unimodular
-    transforms, nonnegative divisibility chain.
+    """Certify a Smith decomposition by exact products at every size:
+    U D V = A from the first rank-many columns of U D, U^-1 U = I,
+    V V^-1 = I, and a nonnegative divisibility chain.
 
-    The transforms are checked as U U^-1 = I and V^-1 V = I.  U and V^-1
-    are the ones that swell, and they do so in a few columns; on the left
-    of the product those columns are inner indices, which
-    :func:`dot_exact` cuts into digits apart from the narrow rest.
-    Matrices up to 400 rows and columns get fully exact checks; U D is
-    formed by scaling the first rank-many columns of U.  Above that the
-    identities are certified by randomized projection probes —
-    exact products against random integer vectors, so any single wrong
-    entry is caught with probability at least 1 - 2^-8 per audit.
-    Raises :class:`DefectError` on any discrepancy.
+    For square transforms the inverse checks say U and V are unimodular.
+    The leading blocks of a rank-r decomposition, U[:, :r], U^-1[:r],
+    V[:r], V^-1[:, :r] and diag[:r], pass the same checks; a block with a
+    one-sided integer inverse extends to a unimodular matrix, so they
+    certify the rank and invariant factors of A, but nothing of the
+    trailing columns of V^-1, which would span ker A.  Raises
+    :class:`DefectError` on any discrepancy.
     """
     a = as_int_array(np.atleast_2d(a))
-    small = max(a.shape) <= 400
-    if small:
-        r = sm.rank
-        # U D V from the first r columns of U D: the divisor checks below
-        # reject a diag whose zeros do not all trail
-        ud = _scale_columns(sm.u[:, :r], sm.diag[:r])
-        recon = dot_exact(ud, sm.v[:r, :])
-        if not np.array_equal(recon, a):
-            raise DefectError("Smith reconstruction U @ D @ V != A")
-    else:
-        rng = np.random.default_rng(12345)
-        probe = rng.integers(0, 2, size=(a.shape[1], 8)).astype(np.int64)
-        vx = dot_exact(sm.v, probe)
-        scaled = np.zeros((a.shape[0], probe.shape[1]), dtype=object)
-        for i, dval in enumerate(sm.diag):
-            if dval:
-                scaled[i, :] = vx[i, :].astype(object) * dval
-        recon = dot_exact(sm.u, _shrink(scaled))
-        if not np.array_equal(recon, dot_exact(a, probe)):
-            raise DefectError("Smith reconstruction U @ D @ V != A (probe)")
-    for name, mat, inv in (("U", sm.u, sm.u_inv), ("V", sm.v_inv, sm.v)):
-        n = mat.shape[0]
-        if n <= 400:
-            if not np.array_equal(dot_exact(mat, inv), np.eye(n, dtype=np.int64)):
-                raise DefectError(f"Smith transform {name} failed inverse check")
-        else:
-            rng = np.random.default_rng(12345)
-            probe = rng.integers(-100, 100, size=(n, 8)).astype(np.int64)
-            if not np.array_equal(dot_exact(mat, dot_exact(inv, probe)), probe):
-                raise DefectError(f"Smith transform {name} failed probe check")
+    r = sm.rank
+    # U D V from the first r columns of U D: the divisor checks below
+    # reject a diag whose zeros do not all trail
+    ud = _scale_columns(sm.u[:, :r], sm.diag[:r])
+    if not np.array_equal(dot_exact(ud, sm.v[:r, :]), a):
+        raise DefectError("Smith reconstruction U @ D @ V != A")
+    for name, left, right in (("U", sm.u_inv, sm.u), ("V", sm.v, sm.v_inv)):
+        if not np.array_equal(dot_exact(left, right), np.eye(left.shape[0], dtype=np.int64)):
+            raise DefectError(f"Smith transform {name} failed inverse check")
     diag = sm.diag
     for i, dval in enumerate(diag):
         if dval < 0:

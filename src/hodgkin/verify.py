@@ -253,7 +253,7 @@ def check_smith_random(seed: int = DEFAULT_SEED) -> CheckResult:
             if k % 7 == 3:
                 a = a * (10 ** 14)  # push the transforms past int64
             sm = linalg.smith(a)
-            # exact below 400 rows: U U^-1 = I and V^-1 V = I force det = +-1
+            # exact at every size: U^-1 U = I and V V^-1 = I force det = +-1
             linalg.audit_smith(a, sm)
         return {"matrices": len(shapes)}
     return _guard("smith-reconstruction-random", body)

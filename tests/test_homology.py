@@ -102,6 +102,62 @@ def test_koszul_build_makes_no_products(pipeline, monkeypatch):
         homology.homology_of(koszul_complex(ops))  # and they are complexes
 
 
+def test_certification_draws_no_random_numbers(pipeline, monkeypatch):
+    # A4's boundaries reach 720 rows or columns: every audit behind the
+    # certificate is exact at that size, with no random probe
+    def refuse(*args, **kwargs):
+        raise AssertionError("the homology certificate drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    res = homology.homology_of(pipeline("A4").chain_complex)
+    assert [h.betti for h in res] == [comb(4, p) for p in range(5)]
+
+
+def test_reducer_must_vanish_on_boundaries(pipeline, monkeypatch):
+    # w = y - (y z) R keeps R z = I and the cycle test, but w d_in != 0:
+    # only the check that R vanishes on boundaries can catch it
+    cx = pipeline("B3").chain_complex
+    original = homology._canonical_free_basis
+    degrees = iter(range(cx.length + 1))
+
+    def tampered(basis, reducer):
+        basis, reducer = original(basis, reducer)
+        if next(degrees) == 1:
+            d_in = cx.boundary(2)
+            y = np.zeros(d_in.shape[0], dtype=np.int64)
+            y[np.flatnonzero(np.any(d_in, axis=1))[0]] = 1
+            w = y - linalg.dot_exact(linalg.dot_exact(y, basis), reducer)
+            assert not np.any(linalg.dot_exact(w, basis))
+            assert np.any(linalg.dot_exact(w, d_in))
+            reducer = reducer.copy()
+            reducer[0] += w
+        return basis, reducer
+
+    monkeypatch.setattr(homology, "_canonical_free_basis", tampered)
+    with pytest.raises(DefectError, match="^the reduction does not vanish on boundaries "
+                                          "at degree 1$"):
+        homology.homology_of(cx)
+
+
+def test_torsion_must_match_the_boundary_factors(monkeypatch):
+    # the relations' Smith form is not audited: a wrong invariant factor
+    # there passes every per-degree check and is caught against d_1's
+    original = linalg.smith
+    calls = []
+
+    def tampered(a):
+        sm = original(a)
+        calls.append(a)
+        if len(calls) == 2:  # degree 0's relations, [[2]]
+            sm.diag = [4]
+        return sm
+
+    monkeypatch.setattr(linalg, "smith", tampered)
+    with pytest.raises(DefectError, match="^homology disagrees with boundary factors "
+                                          "at degree 0$"):
+        homology.homology_of(koszul_complex([np.array([[2]])]))
+
+
 def test_koszul_single_operator_torsion():
     # multiplication by 2 on one copy of the integers
     res = homology.homology_of(koszul_complex([np.array([[2]])]))

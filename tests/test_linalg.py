@@ -625,6 +625,21 @@ def test_audit_catches_tampered_decomposition():
                              u_inv=sm.u_inv, v=sm.v, v_inv=sm.v_inv)
     with pytest.raises(DefectError):
         linalg.audit_smith(a, bad)
+    # the leading rank-r blocks of a rank-deficient decomposition are a
+    # valid input, and a changed entry in U[:, :r] or V[:r] is caught
+    a = np.array([[2, 4, 0], [1, 2, 3], [3, 6, 3]])
+    sm = linalg.smith(a)
+    r = sm.rank
+    assert r == 2
+    blocks = dict(diag=sm.diag[:r], u=sm.u[:, :r], u_inv=sm.u_inv[:r],
+                  v=sm.v[:r], v_inv=sm.v_inv[:, :r])
+    linalg.audit_smith(a, linalg.SmithResult(**blocks))
+    for name in ("u", "v"):
+        for i, j in np.ndindex(blocks[name].shape):
+            bad = blocks[name].copy()
+            bad[i, j] += 1
+            with pytest.raises(DefectError):
+                linalg.audit_smith(a, linalg.SmithResult(**{**blocks, name: bad}))
 
 
 def test_audit_rejects_a_tampered_wide_transform_entry(pipeline, monkeypatch):
@@ -658,8 +673,8 @@ def test_audit_rejects_a_tampered_wide_transform_entry(pipeline, monkeypatch):
 
 
 def test_audit_probe_path_on_wide_matrix():
-    # above the exact-reconstruction cutoff the audit switches to
-    # randomized probes; build a 401-column matrix to cross it
+    # a 401-column matrix, past the size where the audit once switched
+    # to randomized probes, is audited by the same exact products
     rng = random.Random(25)
     a = np.zeros((3, 401), dtype=np.int64)
     for _ in range(60):
