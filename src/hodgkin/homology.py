@@ -154,14 +154,15 @@ class DegreeHomology:
 
 
 def _canonical_free_basis(basis: np.ndarray, reducer: np.ndarray):
-    """Hermite-canonicalize the generator columns; fix the reducer to match."""
+    """Hermite-canonicalize the generator columns; fix the reducer to match.
+
+    For independent generators H = T basis^T and T are unique, so the basis
+    H^T does not depend on the elimination; R' = T^-T R keeps R' H^T = I.
+    """
     if basis.shape[1] == 0:
         return basis, reducer
-    h, t = linalg.hermite_rows(basis.T)
-    t_inv, _ = linalg.inverse_unimodular(linalg.as_int_array(t))
-    new_basis = linalg.as_int_array(h).T
-    new_reducer = linalg.dot_exact(t_inv.T, reducer)
-    return new_basis, new_reducer
+    h, _, t_inv = linalg.hermite_rows(basis.T)
+    return h.T, linalg.dot_exact(t_inv.T, reducer)
 
 
 def homology_of(cx: ChainComplex) -> tuple[DegreeHomology, ...]:
@@ -169,9 +170,9 @@ def homology_of(cx: ChainComplex) -> tuple[DegreeHomology, ...]:
 
     Per degree p: the Smith form of d_p cuts out the kernel Z_p; d_{p+1}
     is rewritten in kernel coordinates, and a second Smith form, of
-    these relations, yields free generators z (Hermite-canonicalized, so
-    re-runs give identical bases) and a reducer R.  Four exact checks,
-    each raising ``DefectError``, certify the result:
+    these relations, yields free generators z and a reducer R; z is put
+    in Hermite form and R follows by the inverse that form co-tracks.
+    Four exact checks, each raising ``DefectError``, certify the result:
 
     1. the leading rank-r blocks of d_p's Smith form pass
        :func:`linalg.audit_smith`, which certifies r_p = rank d_p and

@@ -98,18 +98,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = LaurentPoly.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.terms == ({} if other == 0 else {(0,) * self.nvars: other})

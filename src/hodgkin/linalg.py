@@ -50,6 +50,9 @@ so the search scans the rows from the top and stops there; only a
 submatrix with no unit left is searched whole.  :func:`audit_smith`
 certifies a Smith form, or its leading blocks, by exact products at
 every size; nothing here draws random numbers.
+
+The row Hermite form runs on the same tracked row operations and the
+Smith form's column step, so it co-tracks its inverse transform too.
 """
 
 from __future__ import annotations
@@ -508,6 +511,9 @@ class _Tracked:
     multiple of the whole cap).  When the sum reaches 2^62 the cap is
     re-measured, and the matrix escalates to dtype=object only if the
     measured bound still reaches 2^62.
+
+    V^T and V^-1 are made at the first column operation (:meth:`_columns`),
+    so a reduction by rows alone, like :func:`hermite_rows`, has none.
     """
 
     def __init__(self, a: np.ndarray):
@@ -515,7 +521,7 @@ class _Tracked:
         self.mats: dict[str, np.ndarray] = {
             "a": a.copy(),
             "p": np.eye(rows, dtype=np.int64), "pinvt": np.eye(rows, dtype=np.int64),
-            "qt": np.eye(cols, dtype=np.int64), "qinv": np.eye(cols, dtype=np.int64),
+            "qt": np.eye(0, dtype=np.int64), "qinv": np.eye(0, dtype=np.int64),
         }
         self.caps: dict[str, int | None] = {
             name: (_maxabs(m) if m.dtype == np.int64 else None)
@@ -523,6 +529,15 @@ class _Tracked:
         }
         self.unit: dict[str, np.ndarray] = {
             "pinvt": np.arange(rows), "qinv": np.arange(cols)}
+
+    def _columns(self) -> None:
+        """Grow the empty V^T and V^-1 into identities, keeping their dtype."""
+        cols = self.mats["a"].shape[1]
+        if self.mats["qt"].shape[0] != cols:
+            for name in ("qt", "qinv"):
+                self.mats[name] = np.eye(cols, dtype=self.mats[name].dtype)
+                if self.caps[name] is not None:
+                    self.caps[name] = 1
 
     def _prepare(self, name: str, growth: int) -> None:
         """Make sure the entries of int64 matrix `name` stay below 2^62 when
@@ -605,6 +620,7 @@ class _Tracked:
         qarr, qmax, qsum = _growth(qvec)
         if qmax == 0:
             return
+        self._columns()
         cols = np.asarray(cols, dtype=np.intp)
         self._sub_outer("a", cols, src, qarr, qmax, lo, transpose=True)
         self._sub_outer("qt", cols, src, qarr, qmax)
@@ -613,6 +629,7 @@ class _Tracked:
     def col_swap(self, c1: int, c2: int) -> None:
         if c1 == c2:
             return
+        self._columns()
         a = self.mats["a"]
         a[:, [c1, c2]] = a[:, [c2, c1]]
         for m in (self.mats["qt"], self.mats["qinv"], self.unit["qinv"]):
@@ -653,7 +670,7 @@ def smith(a) -> SmithResult:
         if mats["a"][t, t] < 0:
             st.row_negate(t)
         while True:
-            _clear_column(st, t)
+            _clear_column(st, t, t)
             if _clear_row_once(st, t):
                 continue  # a column swap re-dirtied column t
             pivot = int(mats["a"][t, t])
@@ -662,6 +679,7 @@ def smith(a) -> SmithResult:
                 break
             st.row_add(t, bad, lo=t)
         t += 1
+    st._columns()  # V = I when no column operation ran
     work = mats["a"]
     diag = [int(work[i, i]) for i in range(limit)]
     return SmithResult(
@@ -704,21 +722,25 @@ def _pivot_index(sub: np.ndarray) -> int | None:
     return flat if sub.flat[flat] != 0 else None
 
 
-def _clear_column(st: _Tracked, t: int) -> None:
-    """Row-reduce until column t is pivot-only, pivot positive."""
+def _clear_column(st: _Tracked, t: int, c: int) -> None:
+    """Row-reduce until column c is zero below row t, pivot (t, c) positive.
+
+    Rows t and below must be zero left of column c.  The Smith form calls
+    this with c = t, :func:`hermite_rows` at its next pivot column.
+    """
     while True:
         a = st.mats["a"]
-        if a[t, t] < 0:
+        if a[t, c] < 0:
             st.row_negate(t)
-        col = a[t + 1:, t]
+        col = a[t + 1:, c]
         nz = np.nonzero(col != 0)[0]
         if nz.size == 0:
             return
-        pivot = int(a[t, t])
+        pivot = int(a[t, c])
         qvec = _nearest_quotients(col[nz], pivot)
-        st.row_axpy_batch(nz + t + 1, t, qvec, lo=t)
+        st.row_axpy_batch(nz + t + 1, t, qvec, lo=c)
         a = st.mats["a"]
-        col = a[t + 1:, t]
+        col = a[t + 1:, c]
         nz = np.nonzero(col != 0)[0]
         if nz.size == 0:
             return
@@ -765,55 +787,36 @@ def _find_nondivisible(a: np.ndarray, t: int, pivot: int) -> int | None:
 
 # --- Hermite form (row-style) ----------------------------------------------
 
-def hermite_rows(a) -> tuple[np.ndarray, np.ndarray]:
-    """Row Hermite normal form: returns (H, T) with T @ A = H, T unimodular.
+def hermite_rows(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row Hermite normal form: (H, T, T^-1) with T @ A = H, T unimodular.
 
-    Pivots positive, entries above each pivot reduced into [0, pivot).
-    Plain Python integers throughout — this is only used on small
-    matrices (canonicalizing homology bases), where clarity wins.
+    Pivots positive, zeros below them, entries above each pivot in
+    [0, pivot).  Per column, the row of least nonzero |entry| from the
+    next pivot row t down moves to row t, :func:`_clear_column` clears
+    below it and one batch of floor quotients reduces the rows above;
+    T^-1 is co-tracked.  For A of full row rank, H and T are unique.
     """
-    a = np.asarray(a, dtype=object)
-    rows, cols = a.shape if a.ndim == 2 else (0, 0)
-    h = [[int(x) for x in row] for row in a]
-    t = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    pivot_row = 0
-    for col in range(cols):
-        if pivot_row == rows:
+    a = as_int_array(a)
+    rows, cols = a.shape
+    st = _Tracked(a)
+    t = 0
+    for c in range(cols):
+        if t == rows:
             break
-        # Euclid down the column
-        while True:
-            live = [r for r in range(pivot_row, rows) if h[r][col] != 0]
-            if not live:
-                break
-            best = min(live, key=lambda r: abs(h[r][col]))
-            if best != pivot_row:
-                h[pivot_row], h[best] = h[best], h[pivot_row]
-                t[pivot_row], t[best] = t[best], t[pivot_row]
-            p = h[pivot_row][col]
-            done = True
-            for r in range(pivot_row + 1, rows):
-                if h[r][col] != 0:
-                    q = h[r][col] // p
-                    h[r] = [x - q * y for x, y in zip(h[r], h[pivot_row])]
-                    t[r] = [x - q * y for x, y in zip(t[r], t[pivot_row])]
-                    if h[r][col] != 0:
-                        done = False
-            if done:
-                break
-        if h[pivot_row][col] == 0:
+        col = st.mats["a"][t:, c]
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
             continue
-        if h[pivot_row][col] < 0:
-            h[pivot_row] = [-x for x in h[pivot_row]]
-            t[pivot_row] = [-x for x in t[pivot_row]]
-        p = h[pivot_row][col]
-        for r in range(pivot_row):
-            q = h[r][col] // p
-            if q:
-                h[r] = [x - q * y for x, y in zip(h[r], h[pivot_row])]
-                t[r] = [x - q * y for x, y in zip(t[r], t[pivot_row])]
-        pivot_row += 1
-    return (_shrink(np.array(h, dtype=object)) if rows else np.zeros((0, cols), dtype=np.int64),
-            _shrink(np.array(t, dtype=object)) if rows else np.zeros((0, 0), dtype=np.int64))
+        st.row_swap(t, t + int(nz[np.argmin(np.abs(col[nz]))]))
+        _clear_column(st, t, c)
+        h = st.mats["a"]
+        q = np.floor_divide(h[:t, c], int(h[t, c]))
+        above = np.flatnonzero(q)
+        if above.size:
+            st.row_axpy_batch(above, t, q[above], lo=c)
+        t += 1
+    return (_shrink(st.mats["a"]), _shrink(st.mats["p"]),
+            _shrink(np.ascontiguousarray(st.mats["pinvt"].T)))
 
 
 def _scale_columns(m: np.ndarray, factors) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import weakref
 from math import comb
@@ -100,6 +101,42 @@ def test_koszul_build_makes_no_products(pipeline, monkeypatch):
     monkeypatch.undo()
     for ops in families:
         homology.homology_of(koszul_complex(ops))  # and they are complexes
+
+
+# sha256 over every degree's cycle basis and reducer (dtype, shape and
+# entries), recorded when the canonical basis came from a list-based
+# Hermite form and a CRT inverse of its transform
+_BASIS_DIGESTS = {
+    "A3": "fd766c92b0631b77b79f2061da7ed3aec2dc014e6d6db0daa8c8884f8553c075",
+    "B3": "a1d164845535a45211f33f1a3c52642a2af775a3120c6b08399d28e696b214ba",
+    "A4": "5c85d938930792804ecefc96bf9331995da0003b73aaa09c55cdf059e3a0d799",
+}
+
+
+def test_canonical_bases_are_pinned(pipeline):
+    # the determinants are read in these bases: a drift in any cycle or
+    # reducer shows here before it can reach a sign
+    for name, digest in _BASIS_DIGESTS.items():
+        h = hashlib.sha256()
+        for deg in pipeline(name).homology:
+            for mat in (deg.cycle_basis, deg.reduce_matrix):
+                h.update(f"|{mat.dtype}:{mat.shape}:".encode())
+                h.update(",".join(str(int(x)) for x in mat.flat).encode())
+        assert h.hexdigest() == digest, name
+
+
+def test_canonical_basis_needs_no_crt_inverse(pipeline, monkeypatch):
+    # the Hermite form co-tracks the inverse of its transform
+    calls = []
+    real = linalg.inverse_unimodular
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "inverse_unimodular", counted)
+    homology.homology_of(pipeline("A4").chain_complex)
+    assert len(calls) == 0
 
 
 def test_certification_draws_no_random_numbers(pipeline, monkeypatch):

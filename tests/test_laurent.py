@@ -29,7 +29,7 @@ def test_poly_arithmetic_basics():
     one = LaurentPoly.one(1)
     assert t * tinv == one
     assert (t - 1) * (t + 1) == t * t - 1
-    assert (t + tinv) ** 2 == t ** 2 + 2 * one + tinv ** 2
+    assert (t + tinv) * (t + tinv) == t * t + 2 * one + tinv * tinv
     assert (t - t).is_zero()
 
 

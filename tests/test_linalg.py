@@ -689,10 +689,11 @@ def test_audit_probe_path_on_wide_matrix():
 
 
 def test_hermite_rows_canonical_form():
-    h, t = linalg.hermite_rows(np.array([[4, 6], [2, 5]]))
+    h, t, t_inv = linalg.hermite_rows(np.array([[4, 6], [2, 5]]))
     assert np.array_equal(linalg.dot_exact(
         t, np.array([[4, 6], [2, 5]], dtype=object)), h)
     assert abs(linalg.det_exact(t)) == 1
+    assert np.array_equal(linalg.dot_exact(t_inv, t), np.eye(2, dtype=np.int64))
     # pivots positive, entries above a pivot reduced below it
     assert h.tolist() == [[2, 1], [0, 4]]
 
@@ -701,9 +702,84 @@ def test_hermite_rows_is_idempotent_on_its_output():
     rng = random.Random(26)
     for _ in range(15):
         a = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), span=5)
-        h, t = linalg.hermite_rows(a)
-        h2, t2 = linalg.hermite_rows(h)
+        h, t, t_inv = linalg.hermite_rows(a)
+        h2, t2, t2_inv = linalg.hermite_rows(h)
         assert np.array_equal(np.asarray(h2, dtype=object), np.asarray(h, dtype=object))
+
+
+def _hermite_battery() -> list[np.ndarray]:
+    """Seeded sparse b x N matrices, b <= 6 and N <= 40, the shapes the
+    homology canonicalization sees: plain, with columns scaled past 2^63,
+    with a row that is a combination of two others, and with zero rows."""
+    rng = np.random.default_rng(1515)
+    mats = []
+    for k in range(48):
+        b, n = int(rng.integers(1, 7)), int(rng.integers(1, 41))
+        a = (rng.integers(-9, 10, size=(b, n)) * (rng.random((b, n)) < 0.3)).astype(object)
+        kind = k % 4
+        if kind == 1:
+            a[:, ::2] *= (1 << 63) + int(rng.integers(1, 1000))
+        elif kind == 2 and b > 2:
+            a[-1] = 2 * a[0] - a[1]
+        elif kind == 3:
+            a[rng.integers(0, b, size=2)] = 0
+        mats.append(linalg.as_int_array(a.tolist()).reshape(b, n))
+    return mats
+
+
+def _assert_hermite_form(h: np.ndarray) -> int:
+    """Nonzero rows first; each with a positive pivot right of the pivot
+    above it, zeros below it and entries above it in [0, pivot).  Returns
+    the number of nonzero rows."""
+    rows = [[int(x) for x in row] for row in h]
+    last = -1
+    rank = 0
+    for i, row in enumerate(rows):
+        nz = [j for j, x in enumerate(row) if x]
+        if not nz:
+            assert all(not any(r) for r in rows[i:])
+            break
+        c = nz[0]
+        assert c > last and row[c] > 0
+        assert all(rows[k][c] == 0 for k in range(i + 1, len(rows)))
+        assert all(0 <= rows[k][c] < row[c] for k in range(i))
+        last, rank = c, rank + 1
+    return rank
+
+
+def _update(h, name: str, mat: np.ndarray) -> None:
+    """Feed a named matrix to ``h`` as :func:`_digest` feeds a transform."""
+    h.update(f"|{name}:{mat.dtype}:{mat.shape}:".encode())
+    h.update(",".join(str(int(x)) for x in mat.flat).encode())
+
+
+# sha256 of (H, T) on the full-row-rank members of _hermite_battery, as the
+# list-based elimination computed them: for such input both are unique
+_HERMITE_DIGEST = "8d29851683101ced637083510508beffd5961c58e60969243bf7e1abb8c641bd"
+
+
+def test_hermite_rows_battery(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the Hermite form made the column transforms")
+
+    # a reduction by rows: V and V^-1 are never allocated
+    monkeypatch.setattr(linalg._Tracked, "_columns", refuse)
+    full = hashlib.sha256()
+    kinds = {"wide": 0, "deficient": 0, "zero_row": 0}
+    for a in _hermite_battery():
+        h, t, t_inv = linalg.hermite_rows(a)
+        b = a.shape[0]
+        rank = _assert_hermite_form(h)
+        assert np.array_equal(linalg.dot_exact(t, a), h)
+        assert np.array_equal(linalg.dot_exact(t, t_inv), np.eye(b, dtype=np.int64))
+        kinds["wide"] += _bits(a) > 63
+        kinds["deficient"] += 0 < rank < b
+        kinds["zero_row"] += not all(np.any(a, axis=1))
+        if rank == b:
+            _update(full, "h", h)
+            _update(full, "t", t)
+    assert all(count > 0 for count in kinds.values()), kinds
+    assert full.hexdigest() == _HERMITE_DIGEST
 
 
 _B = linalg._PANEL

@@ -24,6 +24,9 @@ COMPUTE_JSON = {
 # D4 is pinned through the session's memoized run, not a second build
 COMPUTE_JSON_D4 = "1e232392fee461a9fe73471b41cd9f4a1c0d97b075fe63329f092f4a81554a5e"
 
+# so is A4's full verify table, where the canonical bases carry object entries
+VERIFY_FULL_A4 = "1593ebd366646564cbc3668ba43efd5bbbedbbc190689d8026e2088ec27e48f9"
+
 VERIFY_FULL = {
     "A1": "dc64a9164e0d675a1d8ca276d15a18bacabbf32d2a4abad9fa00e0188ec3fd65",
     "A1xA1": "e93e49f273a4a53559f11e9d62aaccf0acad8d9aeded55c0c615b4520bd56c18",
@@ -60,3 +63,10 @@ def test_d4_compute_json_report_is_pinned(pipeline, monkeypatch, tmp_path, capsy
     monkeypatch.setattr(cli, "run_pipeline", lambda *args, **kwargs: run)
     argv = ["compute", "--type", "D4", "--no-timings", "--format", "json"]
     assert _stdout_digest(argv, tmp_path, capsys) == COMPUTE_JSON_D4
+
+
+def test_a4_verify_full_table_is_pinned(pipeline, monkeypatch, tmp_path, capsys):
+    run = pipeline("A4")
+    monkeypatch.setattr(cli, "run_pipeline", lambda *args, **kwargs: run)
+    argv = ["verify", "--type", "A4", "--level", "full"]
+    assert _stdout_digest(argv, tmp_path, capsys) == VERIFY_FULL_A4
