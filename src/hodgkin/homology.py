@@ -159,8 +159,6 @@ def _canonical_free_basis(basis: np.ndarray, reducer: np.ndarray):
     For independent generators H = T basis^T and T are unique, so the basis
     H^T does not depend on the elimination; R' = T^-T R keeps R' H^T = I.
     """
-    if basis.shape[1] == 0:
-        return basis, reducer
     h, _, t_inv = linalg.hermite_rows(basis.T)
     return h.T, linalg.dot_exact(t_inv.T, reducer)
 

@@ -36,23 +36,27 @@ one CRT step, then read off as the symmetric representative.
 The Smith normal form keeps four transforms (U, U^-1, V, V^-1 with
 A = U D V) because downstream homology needs kernels *and* kernel
 coordinates; co-tracking inverses through elementary operations is far
-cheaper than inverting afterwards.  The two transforms that elementary
-operations would touch column by column (U and V^-1) are stored
-transposed, so every transform update runs over contiguous rows.  Rows
-of U^T and V that are still rows of the identity are known by the column
-of their 1, so adding them is a scatter rather than a product, and every
-other update skips the columns where its source is zero.  The pivot
-policy, and with it every transform entry, is independent of that
-storage and of which provably unchanged entries an update skips.  The
-pivot is the entry of least nonzero magnitude, first in row-major order.
-While a +-1 remains, that is the first +-1 of the first row holding one,
-so the search scans the rows from the top and stops there; only a
-submatrix with no unit left is searched whole.  :func:`audit_smith`
-certifies a Smith form, or its leading blocks, by exact products at
-every size; nothing here draws random numbers.
+cheaper than inverting afterwards.  A column operation on A is a row
+operation on A^T, so the transforms come in two sides that follow one
+rule: the rows' pair (U^-1, U^T) and the columns' pair ((V^-1)^T, V).
+The first of a pair takes the same line operation as A or A^T, the
+second is its inverse transpose, and both are stored so that every
+update runs over contiguous rows.  Rows of the second that are still
+rows of the identity are known by the column of their 1, so adding them
+is a scatter rather than a product, and every other update skips the
+columns where its source is zero.  The pivot policy, and with it every
+transform entry, is independent of that storage and of which provably
+unchanged entries an update skips.  The pivot is the entry of least
+nonzero magnitude, first in row-major order.  While a +-1 remains, that
+is the first +-1 of the first row holding one, so the search scans the
+rows from the top and stops there; only a submatrix with no unit left
+is searched whole.  :func:`audit_smith` certifies a Smith form, or its
+leading blocks, by exact products at every size; nothing here draws
+random numbers.
 
-The row Hermite form runs on the same tracked row operations and the
-Smith form's column step, so it co-tracks its inverse transform too.
+The row Hermite form runs on the same line operations and the Smith
+form's column step, on the rows alone, so it co-tracks its inverse
+transform too and never makes the column side.
 """
 
 from __future__ import annotations
@@ -487,153 +491,132 @@ def _growth(qvec) -> tuple[np.ndarray, int, int]:
     return qarr, qmax, int(qabs.astype(object).sum())  # the int64 sum could wrap
 
 
-class _Tracked:
-    """The working matrix plus transforms, with swell-guarded updates.
+class _Capped:
+    """An integer matrix with, while it is int64, a cap on its entries.
 
-    Q = V^-1 and Pinv = U are kept transposed (``qt``, ``pinvt``), so
-    that every transform update, swap and negation is a row operation on
-    a C-contiguous array.  The arithmetic is exact either way, so the
-    stored entries do not depend on the layout or on which entries an
-    update skips because they provably do not change.
-
-    Unit rows: U^T and V start as identities, and a row of either stays a
-    row of the permuted identity until an update writes into it (it is
-    made a pivot row, ``row_add`` changes it, or it is negated); swaps
-    only move rows.  ``unit[name][i]`` is the column of the 1 in row i
-    while that row is clean, -1 once it is dirty.  Adding multiples of
-    clean rows is then a scatter of the multipliers; only dirty rows are
-    gathered for a product.  The other updates, ``m[dst] -= q (x) m[src]``,
-    run on the nonzero columns of the source line alone.
-
-    Swell guard: ``caps[name]`` bounds every entry of an int64 matrix.
-    An update raises it by the most it can add to one entry, computed from
-    the multipliers and the source line that actually move (not by a
+    An update raises the cap by the most it can add to one entry, computed
+    from the multipliers and the source line that actually move (not by a
     multiple of the whole cap).  When the sum reaches 2^62 the cap is
-    re-measured, and the matrix escalates to dtype=object only if the
-    measured bound still reaches 2^62.
-
-    V^T and V^-1 are made at the first column operation (:meth:`_columns`),
-    so a reduction by rows alone, like :func:`hermite_rows`, has none.
+    re-measured, and the matrix escalates to dtype=object, with no cap,
+    only if the measured bound still reaches 2^62.
     """
 
-    def __init__(self, a: np.ndarray):
-        rows, cols = a.shape
-        self.mats: dict[str, np.ndarray] = {
-            "a": a.copy(),
-            "p": np.eye(rows, dtype=np.int64), "pinvt": np.eye(rows, dtype=np.int64),
-            "qt": np.eye(0, dtype=np.int64), "qinv": np.eye(0, dtype=np.int64),
-        }
-        self.caps: dict[str, int | None] = {
-            name: (_maxabs(m) if m.dtype == np.int64 else None)
-            for name, m in self.mats.items()
-        }
-        self.unit: dict[str, np.ndarray] = {
-            "pinvt": np.arange(rows), "qinv": np.arange(cols)}
+    def __init__(self, m: np.ndarray):
+        self.m = m
+        self.cap = _maxabs(m) if m.dtype == np.int64 else None
 
-    def _columns(self) -> None:
-        """Grow the empty V^T and V^-1 into identities, keeping their dtype."""
-        cols = self.mats["a"].shape[1]
-        if self.mats["qt"].shape[0] != cols:
-            for name in ("qt", "qinv"):
-                self.mats[name] = np.eye(cols, dtype=self.mats[name].dtype)
-                if self.caps[name] is not None:
-                    self.caps[name] = 1
+    def lines(self, axis: int) -> np.ndarray:
+        """The rows of the matrix (axis 0) or of its transpose (axis 1)."""
+        return self.m.T if axis else self.m
 
-    def _prepare(self, name: str, growth: int) -> None:
-        """Make sure the entries of int64 matrix `name` stay below 2^62 when
-        an update adds at most `growth` to any of them; escalate if not."""
-        cap = self.caps[name]
+    def grow(self, growth: int) -> None:
+        """Make sure the entries stay below 2^62 when an update adds at
+        most ``growth`` to any of them; escalate if not."""
+        cap = self.cap
         if cap + growth >= _LIMIT:
-            cap = _maxabs(self.mats[name])
+            cap = _maxabs(self.m)
             if cap + growth >= _LIMIT:
-                self.mats[name] = self.mats[name].astype(object)
-                self.caps[name] = None
+                self.m, self.cap = self.m.astype(object), None
                 return
-        self.caps[name] = cap + growth
+        self.cap = cap + growth
 
-    def _sub_outer(self, name: str, dst: np.ndarray, src: int, qarr: np.ndarray,
-                   qmax: int, lo: int = 0, transpose: bool = False) -> None:
-        """m[dst, j] -= q * m[src, j] for j >= lo where m[src, j] != 0
-        (m is the matrix, or its transpose for a column update)."""
-        m = self.mats[name].T if transpose else self.mats[name]
+    def sub(self, axis: int, dst: np.ndarray, src: int, q: np.ndarray, qmax: int,
+            lo: int = 0) -> None:
+        """lines[dst, j] -= q * lines[src, j] for j >= lo where lines[src, j] != 0."""
+        m = self.lines(axis)
         support = lo + np.flatnonzero(m[src, lo:])
         if support.size == 0:
             return
-        if self.caps[name] is not None:
-            self._prepare(name, qmax * _maxabs(m[src, support]))
-            m = self.mats[name].T if transpose else self.mats[name]
-        q = qarr.astype(m.dtype, copy=False)
+        if self.cap is not None:
+            self.grow(qmax * _maxabs(m[src, support]))
+            m = self.lines(axis)
+        q = q.astype(m.dtype, copy=False)
         m[np.ix_(dst, support)] -= np.outer(q, m[src, support])
 
-    def _add_rows(self, name: str, dst: int, rows: np.ndarray, qarr: np.ndarray,
-                  qsum: int) -> None:
-        """m[dst] += q @ m[rows]: a scatter for the clean rows, a product
-        over the dirty ones; row dst is dirty afterwards."""
-        unit = self.unit[name]
-        ones = unit[rows]
+
+class _Side:
+    """The transforms of one side of A = U D V, both identities at first.
+
+    ``fwd`` takes every line operation that A (or A^T) takes: it is U^-1
+    for the rows, (V^-1)^T for the columns.  ``inv`` is fwd^-T (U^T, V),
+    so lines dst_i -= q_i line src on ``fwd`` is line src += q @ lines dst
+    on ``inv``; both run over contiguous rows.
+
+    Unit rows: a row of ``inv`` stays a row of the permuted identity until
+    an update writes into it (it is a mirrored source, or it is negated);
+    swaps only move rows.  ``unit[i]`` is the column of the 1 in row i
+    while that row is clean, -1 once it is dirty, so the clean rows' share
+    of a mirrored update is a scatter of the multipliers and only dirty
+    rows are gathered for a product.
+    """
+
+    def __init__(self, n: int):
+        self.fwd = _Capped(np.eye(n, dtype=np.int64))
+        self.inv = _Capped(np.eye(n, dtype=np.int64))
+        self.unit = np.arange(n)
+
+    def axpy(self, dst: np.ndarray, src: int, q: np.ndarray, qmax: int, qsum: int) -> None:
+        self.fwd.sub(0, dst, src, q, qmax)
+        inv = self.inv
+        ones = self.unit[dst]
         clean = ones >= 0
-        dirty = rows[~clean]
-        if self.caps[name] is not None:
-            self._prepare(name, qsum * max(1, _maxabs(self.mats[name][dirty])))
-        m = self.mats[name]
-        q = qarr.astype(m.dtype, copy=False)
-        m[dst, ones[clean]] += q[clean]
+        dirty = dst[~clean]
+        if inv.cap is not None:
+            inv.grow(qsum * max(1, _maxabs(inv.m[dirty])))
+        q = q.astype(inv.m.dtype, copy=False)
+        inv.m[src, ones[clean]] += q[clean]
         if dirty.size:
-            m[dst] += q[~clean] @ m[dirty]
-        unit[dst] = -1
+            inv.m[src] += q[~clean] @ inv.m[dirty]
+        self.unit[src] = -1
 
-    # row operations: A <- E A, P <- E P, Pinv <- Pinv E^{-1}
 
-    def row_axpy_batch(self, rows, src: int, qvec, lo: int = 0) -> None:
-        """rows[i] -= qvec[i] * row[src] (on A and P; mirrored on Pinv)."""
-        qarr, qmax, qsum = _growth(qvec)
-        if qmax == 0:
-            return
-        rows = np.asarray(rows, dtype=np.intp)
-        self._sub_outer("a", rows, src, qarr, qmax, lo)
-        self._sub_outer("p", rows, src, qarr, qmax)
-        self._add_rows("pinvt", src, rows, qarr, qsum)
+class _Tracked:
+    """The working matrix A and the transforms of its two sides.
 
-    def row_add(self, dst: int, src: int, lo: int = 0) -> None:
-        self.row_axpy_batch([dst], src, [-1], lo=lo)
+    :meth:`axpy` and :meth:`swap` act on the lines of A (axis 0, its rows)
+    or of A^T (axis 1, its columns) and on that side's transforms;
+    :meth:`negate` acts on a row.  Each matrix keeps its own int64 cap and
+    escalates alone.  The arithmetic is exact in any layout, so the stored
+    entries do not depend on it or on which entries an update skips
+    because they provably do not change.  The column side is made at the
+    first column operation (:meth:`side`), so a reduction by rows alone,
+    like :func:`hermite_rows`, has none.
+    """
 
-    def row_swap(self, r1: int, r2: int) -> None:
-        if r1 == r2:
-            return
-        for m in (self.mats["a"], self.mats["p"], self.mats["pinvt"], self.unit["pinvt"]):
-            m[[r1, r2]] = m[[r2, r1]]
+    def __init__(self, a: np.ndarray):
+        self.a = _Capped(a.copy())
+        self.sides = [_Side(a.shape[0])]
 
-    def row_negate(self, r: int) -> None:
-        for name in ("a", "p", "pinvt"):
-            self.mats[name][r, :] *= -1
-        self.unit["pinvt"][r] = -1
+    def side(self, axis: int) -> _Side:
+        if axis == len(self.sides):
+            self.sides.append(_Side(self.a.m.shape[1]))
+        return self.sides[axis]
 
-    # column operations: A <- A F, Q <- Q F, Qinv <- F^{-1} Qinv
+    def axpy(self, axis: int, dst, src: int, qvec, lo: int = 0) -> None:
+        """Lines dst[i] -= qvec[i] * line src, on A from entry lo on.
 
-    def col_axpy_batch(self, cols, src: int, qvec, lo: int = 0) -> None:
-        """cols[i] -= qvec[i] * col[src] (on A and Q; mirrored on Qinv).
-
-        On A only the rows from lo where column src is nonzero change; the
-        Smith loop calls this with column src already cleared below row
-        lo, so that is one row.
+        On A only the entries from lo where line src is nonzero change; the
+        Smith loop's column updates have column src cleared below row lo,
+        so that is one entry.
         """
         qarr, qmax, qsum = _growth(qvec)
         if qmax == 0:
             return
-        self._columns()
-        cols = np.asarray(cols, dtype=np.intp)
-        self._sub_outer("a", cols, src, qarr, qmax, lo, transpose=True)
-        self._sub_outer("qt", cols, src, qarr, qmax)
-        self._add_rows("qinv", src, cols, qarr, qsum)
+        dst = np.asarray(dst, dtype=np.intp)
+        self.a.sub(axis, dst, src, qarr, qmax, lo)
+        self.side(axis).axpy(dst, src, qarr, qmax, qsum)
 
-    def col_swap(self, c1: int, c2: int) -> None:
-        if c1 == c2:
-            return
-        self._columns()
-        a = self.mats["a"]
-        a[:, [c1, c2]] = a[:, [c2, c1]]
-        for m in (self.mats["qt"], self.mats["qinv"], self.unit["qinv"]):
-            m[[c1, c2]] = m[[c2, c1]]
+    def swap(self, axis: int, i: int, j: int) -> None:
+        if i != j:
+            side = self.side(axis)
+            for m in (self.a.lines(axis), side.fwd.m, side.inv.m, side.unit):
+                m[[i, j]] = m[[j, i]]
+
+    def negate(self, i: int) -> None:
+        side = self.sides[0]
+        for m in (self.a.m, side.fwd.m, side.inv.m):
+            m[i] *= -1
+        side.unit[i] = -1
 
 
 def _nearest_quotients(vals: np.ndarray, p: int) -> np.ndarray:
@@ -648,46 +631,37 @@ def smith(a) -> SmithResult:
     (first in row-major order on ties), which keeps intermediate swell
     low in practice.  Callers depend on this exact sequence of pivots and
     operations: the signs of downstream determinants follow from it.
-    Batched row/column reductions keep the inner loops inside numpy.
+    Per pivot, :func:`_clear_column` clears its column by rows and
+    :func:`_reduce_once` its row by columns until both are clear; then the
+    row of an entry the pivot fails to divide is added to the pivot row,
+    and the rounds repeat.  Batched line updates keep loops inside numpy.
     """
     a = as_int_array(np.atleast_2d(a))
-    rows, cols = a.shape
     st = _Tracked(a)
-    mats = st.mats
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        work = mats["a"]
-        sub = work[t:, t:]
-        if sub.size == 0:
-            break
+    limit = min(a.shape)
+    for t in range(limit):
+        sub = st.a.m[t:, t:]
         flat = _pivot_index(sub)
         if flat is None:
             break
         di, dj = divmod(flat, sub.shape[1])
-        st.row_swap(t, t + di)
-        st.col_swap(t, t + dj)
-        if mats["a"][t, t] < 0:
-            st.row_negate(t)
+        st.swap(0, t, t + di)
+        st.swap(1, t, t + dj)
         while True:
             _clear_column(st, t, t)
-            if _clear_row_once(st, t):
+            if _reduce_once(st, 1, t, t):
                 continue  # a column swap re-dirtied column t
-            pivot = int(mats["a"][t, t])
-            bad = _find_nondivisible(mats["a"], t, pivot)
+            bad = _find_nondivisible(st.a.m, t, int(st.a.m[t, t]))
             if bad is None:
                 break
-            st.row_add(t, bad, lo=t)
-        t += 1
-    st._columns()  # V = I when no column operation ran
-    work = mats["a"]
-    diag = [int(work[i, i]) for i in range(limit)]
+            st.axpy(0, [t], bad, [-1], lo=t)
+    rows, cols = st.sides[0], st.side(1)  # V = I when no column operation ran
     return SmithResult(
-        diag=diag,
-        u=_shrink(np.ascontiguousarray(mats["pinvt"].T)),
-        u_inv=_shrink(mats["p"]),
-        v=_shrink(mats["qinv"]),
-        v_inv=_shrink(np.ascontiguousarray(mats["qt"].T)),
+        diag=[int(st.a.m[i, i]) for i in range(limit)],
+        u=_shrink(np.ascontiguousarray(rows.inv.m.T)),
+        u_inv=_shrink(rows.fwd.m),
+        v=_shrink(cols.inv.m),
+        v_inv=_shrink(np.ascontiguousarray(cols.fwd.m.T)),
     )
 
 
@@ -726,49 +700,35 @@ def _clear_column(st: _Tracked, t: int, c: int) -> None:
     """Row-reduce until column c is zero below row t, pivot (t, c) positive.
 
     Rows t and below must be zero left of column c.  The Smith form calls
-    this with c = t, :func:`hermite_rows` at its next pivot column.
+    this with c = t, :func:`hermite_rows` at its next pivot column.  Each
+    round first makes the pivot positive, so a pivot just swapped in needs
+    no sign step of its own.
     """
     while True:
-        a = st.mats["a"]
-        if a[t, c] < 0:
-            st.row_negate(t)
-        col = a[t + 1:, c]
-        nz = np.nonzero(col != 0)[0]
-        if nz.size == 0:
+        if st.a.m[t, c] < 0:
+            st.negate(t)
+        if not _reduce_once(st, 0, t, c):
             return
-        pivot = int(a[t, c])
-        qvec = _nearest_quotients(col[nz], pivot)
-        st.row_axpy_batch(nz + t + 1, t, qvec, lo=c)
-        a = st.mats["a"]
-        col = a[t + 1:, c]
-        nz = np.nonzero(col != 0)[0]
-        if nz.size == 0:
-            return
-        # remainders survived: promote the smallest to be the new pivot
-        best = nz[int(np.argmin(np.abs(col[nz])))]
-        st.row_swap(t, t + 1 + int(best))
 
 
-def _clear_row_once(st: _Tracked, t: int) -> bool:
-    """One round of column-reduction on row t.
-
-    Returns True when a swap pulled a new column into position t (which
-    can re-dirty column t, so the caller must re-clear it)."""
-    a = st.mats["a"]
-    row = a[t, t + 1:]
-    nz = np.nonzero(row != 0)[0]
+def _reduce_once(st: _Tracked, axis: int, t: int, c: int) -> bool:
+    """One round of reducing entry c of the lines below line t by line t,
+    on the rows of A (axis 0) or its columns (axis 1), by nearest quotients.
+    True when a remainder survived and the least one was swapped into line
+    t as the new pivot; the caller reduces again (a column swap can
+    re-dirty column t)."""
+    lines = st.a.lines(axis)
+    col = lines[t + 1:, c]
+    nz = np.flatnonzero(col)
     if nz.size == 0:
         return False
-    pivot = int(a[t, t])
-    qvec = _nearest_quotients(row[nz], pivot)
-    st.col_axpy_batch(nz + t + 1, t, qvec, lo=t)
-    a = st.mats["a"]
-    row = a[t, t + 1:]
-    nz = np.nonzero(row != 0)[0]
+    st.axpy(axis, nz + t + 1, t, _nearest_quotients(col[nz], int(lines[t, c])), lo=c)
+    col = st.a.lines(axis)[t + 1:, c]
+    nz = np.flatnonzero(col)
     if nz.size == 0:
         return False
-    best = nz[int(np.argmin(np.abs(row[nz])))]
-    st.col_swap(t, t + 1 + int(best))
+    best = nz[int(np.argmin(np.abs(col[nz])))]
+    st.swap(axis, t, t + 1 + int(best))
     return True
 
 
@@ -776,10 +736,7 @@ def _find_nondivisible(a: np.ndarray, t: int, pivot: int) -> int | None:
     """Row index (absolute) of an entry the pivot fails to divide."""
     if pivot in (0, 1):
         return None
-    sub = a[t + 1:, t + 1:]
-    if sub.size == 0:
-        return None
-    bad = np.nonzero((sub % pivot) != 0)
+    bad = np.nonzero((a[t + 1:, t + 1:] % pivot) != 0)
     if bad[0].size == 0:
         return None
     return t + 1 + int(bad[0][0])
@@ -803,20 +760,21 @@ def hermite_rows(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for c in range(cols):
         if t == rows:
             break
-        col = st.mats["a"][t:, c]
+        col = st.a.m[t:, c]
         nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
-        st.row_swap(t, t + int(nz[np.argmin(np.abs(col[nz]))]))
+        st.swap(0, t, t + int(nz[np.argmin(np.abs(col[nz]))]))
         _clear_column(st, t, c)
-        h = st.mats["a"]
+        h = st.a.m
         q = np.floor_divide(h[:t, c], int(h[t, c]))
         above = np.flatnonzero(q)
         if above.size:
-            st.row_axpy_batch(above, t, q[above], lo=c)
+            st.axpy(0, above, t, q[above], lo=c)
         t += 1
-    return (_shrink(st.mats["a"]), _shrink(st.mats["p"]),
-            _shrink(np.ascontiguousarray(st.mats["pinvt"].T)))
+    side = st.sides[0]
+    return (_shrink(st.a.m), _shrink(side.fwd.m),
+            _shrink(np.ascontiguousarray(side.inv.m.T)))
 
 
 def _scale_columns(m: np.ndarray, factors) -> np.ndarray:

@@ -33,6 +33,16 @@ def test_complex_constructor_validates():
         homology.homology_of(bad)
 
 
+def test_betti_zero_degrees_have_empty_bases():
+    # multiplication by 2 on Z: both degrees have betti 0, and the
+    # canonical basis of no generators is N x 0 with a 0 x N reducer
+    res = homology.homology_of(ChainComplex(ranks=(1, 1), maps=(np.array([[2]]),)))
+    assert [h.betti for h in res] == [0, 0]
+    for h in res:
+        assert h.cycle_basis.shape == (1, 0)
+        assert h.reduce_matrix.shape == (0, 1)
+
+
 def test_boundary_outside_range_is_zero_shaped():
     cx = ChainComplex(ranks=(2, 3), maps=(np.zeros((2, 3), dtype=np.int64),))
     assert cx.boundary(0).shape == (0, 2)

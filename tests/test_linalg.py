@@ -1,6 +1,5 @@
 import hashlib
 import random
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -522,37 +521,31 @@ def _battery() -> list[np.ndarray]:
 
 
 def _count_paths(monkeypatch) -> dict:
-    """Count remainder swaps, row_add calls and escalations to object
-    made by batch updates, by wrapping the _Tracked methods."""
+    """Count remainder swaps (rounds of _reduce_once that end in one),
+    non-divisible row adds (each follows an entry _find_nondivisible
+    finds) and escalations to object made by updates (a cap that
+    _Capped.grow drops), by wrapping those three."""
     seen = {"remainder_swap": 0, "row_add": 0, "escalation": 0}
-    tracked = linalg._Tracked
+    reduce_once, find, grow = linalg._reduce_once, linalg._find_nondivisible, \
+        linalg._Capped.grow
 
-    def swap(orig):
-        def wrapper(self, i, j):
-            caller = sys._getframe(1).f_code.co_name
-            if i != j and caller in ("_clear_column", "_clear_row_once"):
-                seen["remainder_swap"] += 1
-            return orig(self, i, j)
-        return wrapper
+    def counted_reduce(*args):
+        swapped = reduce_once(*args)
+        seen["remainder_swap"] += swapped
+        return swapped
 
-    def row_add(orig):
-        def wrapper(self, *args, **kwargs):
-            seen["row_add"] += 1
-            return orig(self, *args, **kwargs)
-        return wrapper
+    def counted_find(*args):
+        bad = find(*args)
+        seen["row_add"] += bad is not None
+        return bad
 
-    def batch(orig):
-        def wrapper(self, *args, **kwargs):
-            before = {name: m.dtype for name, m in self.mats.items()}
-            orig(self, *args, **kwargs)
-            if any(before[name] != object and m.dtype == object
-                   for name, m in self.mats.items()):
-                seen["escalation"] += 1
-        return wrapper
+    def counted_grow(self, growth):
+        grow(self, growth)
+        seen["escalation"] += self.cap is None
 
-    for name, wrap in (("row_swap", swap), ("col_swap", swap), ("row_add", row_add),
-                       ("row_axpy_batch", batch), ("col_axpy_batch", batch)):
-        monkeypatch.setattr(tracked, name, wrap(getattr(tracked, name)))
+    monkeypatch.setattr(linalg, "_reduce_once", counted_reduce)
+    monkeypatch.setattr(linalg, "_find_nondivisible", counted_find)
+    monkeypatch.setattr(linalg._Capped, "grow", counted_grow)
     return seen
 
 
@@ -569,37 +562,32 @@ def test_int64_caps_bound_every_entry(monkeypatch):
     # an under-estimated cap would let an int64 update wrap silently; the
     # caps must bound the entries after every batch update, and the result
     # must equal a run with every working matrix in Python integers
-    tracked = linalg._Tracked
     battery = _battery()
     rng = np.random.default_rng(5)
     battery += [rng.integers(-20, 21, size=(7, 9)) * 10 ** 14,
                 rng.integers(-3, 4, size=(9, 7)) + (1 << 40),
                 rng.integers(-(1 << 40), 1 << 40, size=(6, 6))]
-    init = tracked.__init__
+    init = linalg._Capped.__init__
 
-    def all_object(self, a):
-        init(self, a)
-        self.mats = {name: m.astype(object) for name, m in self.mats.items()}
-        self.caps = dict.fromkeys(self.mats)
+    def all_object(self, m):
+        init(self, m.astype(object))
 
-    monkeypatch.setattr(tracked, "__init__", all_object)
+    monkeypatch.setattr(linalg._Capped, "__init__", all_object)
     forced = [_smith_digest(a) for a in battery]
-    monkeypatch.setattr(tracked, "__init__", init)
+    monkeypatch.setattr(linalg._Capped, "__init__", init)
 
     checked = 0
+    axpy = linalg._Tracked.axpy
 
-    def audited(orig):
-        def wrapper(self, *args, **kwargs):
-            nonlocal checked
-            orig(self, *args, **kwargs)
-            for name, m in self.mats.items():
-                if m.dtype == np.int64:
-                    assert self.caps[name] >= linalg._maxabs(m), name
-                    checked += 1
-        return wrapper
+    def audited(self, *args, **kwargs):
+        nonlocal checked
+        axpy(self, *args, **kwargs)
+        for mat in [self.a] + [m for side in self.sides for m in (side.fwd, side.inv)]:
+            if mat.m.dtype == np.int64:
+                assert mat.cap >= linalg._maxabs(mat.m)
+                checked += 1
 
-    for name in ("row_axpy_batch", "col_axpy_batch"):
-        monkeypatch.setattr(tracked, name, audited(getattr(tracked, name)))
+    monkeypatch.setattr(linalg._Tracked, "axpy", audited)
     assert [_smith_digest(a) for a in battery] == forced
     assert checked
 
@@ -759,16 +747,22 @@ _HERMITE_DIGEST = "8d29851683101ced637083510508beffd5961c58e60969243bf7e1abb8c64
 
 
 def test_hermite_rows_battery(monkeypatch):
-    def refuse(self):
-        raise AssertionError("the Hermite form made the column transforms")
+    made = []
+    init = linalg._Side.__init__
 
-    # a reduction by rows: V and V^-1 are never allocated
-    monkeypatch.setattr(linalg._Tracked, "_columns", refuse)
+    def counted(self, n):
+        made.append(n)
+        init(self, n)
+
+    # a reduction by rows: the column side, V and V^-1, is never made
+    monkeypatch.setattr(linalg._Side, "__init__", counted)
     full = hashlib.sha256()
     kinds = {"wide": 0, "deficient": 0, "zero_row": 0}
     for a in _hermite_battery():
+        made.clear()
         h, t, t_inv = linalg.hermite_rows(a)
         b = a.shape[0]
+        assert made == [b]
         rank = _assert_hermite_form(h)
         assert np.array_equal(linalg.dot_exact(t, a), h)
         assert np.array_equal(linalg.dot_exact(t, t_inv), np.eye(b, dtype=np.int64))
