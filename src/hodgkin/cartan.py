@@ -126,25 +126,6 @@ def guarded_weyl_order(ctype: CartanType, max_order: int) -> int:
     return order
 
 
-def positive_root_count(ctype: CartanType) -> int:
-    """Number of positive roots, by the classical closed forms."""
-    total = 0
-    for family, n in ctype.factors:
-        if family == "A":
-            total += n * (n + 1) // 2
-        elif family in ("B", "C"):
-            total += n * n
-        elif family == "D":
-            total += n * (n - 1)
-        elif family == "E":
-            total += {6: 36, 7: 63, 8: 120}[n]
-        elif family == "F":
-            total += 24
-        else:  # G
-            total += 6
-    return total
-
-
 # --- Cartan matrices -------------------------------------------------------
 
 def _cartan_block(family: str, n: int) -> list[list[int]]:

@@ -141,12 +141,14 @@ class DegreeHomology:
     def reduce(self, vec) -> np.ndarray:
         """Coordinates of a cycle's class on the free generators.
 
-        Raises ValueError when ``vec`` is not a cycle of this degree.
+        ``vec`` is one chain, or a matrix whose columns are chains; the
+        result has the same shape, coordinates in place of chains.
+        Raises ValueError when a column is not a cycle of this degree.
         Torsion components are projected away, so cycles differing by a
         torsion class reduce identically.
         """
         x = linalg.as_int_array(vec)
-        if x.shape != (self.boundary_out.shape[1],):
+        if x.ndim not in (1, 2) or x.shape[0] != self.boundary_out.shape[1]:
             raise ValueError("vector does not live in this degree")
         if np.any(linalg.dot_exact(self.boundary_out, x)):
             raise ValueError("vector is not a cycle")

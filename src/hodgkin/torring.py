@@ -3,13 +3,15 @@ the final K-theory report.
 
 Chains multiply by wedging exterior slots and multiplying coordinate
 blocks in the flag module; the product of cycles is again a cycle, so
-homology inherits a graded-commutative ring.  One degree-1 generator
-arises per fundamental character: its relator (character minus
-dimension) decomposes over the ideal generated by the ``t_j - 1``, and
-the cofactor blocks assemble a cycle.  Certification then checks that
-ordered products of these generators hit a homology basis in every
-degree with change-of-basis determinant +-1 — the computable content of
-"this ring is an exterior algebra on n odd generators".
+homology inherits a graded-commutative ring.  A class is its chain:
+homology coordinates are read only by the certificate, with one
+reduction per degree.  One degree-1 generator arises per fundamental
+character: its relator (character minus dimension) decomposes over the
+ideal generated by the ``t_j - 1``, and the cofactor blocks assemble a
+cycle.  Certification then checks that ordered products of these
+generators hit a homology basis in every degree with change-of-basis
+determinant +-1 — the computable content of "this ring is an exterior
+algebra on n odd generators".
 
 The report at the end converts the graded ranks into the two K-group
 ranks by parity.
@@ -17,7 +19,7 @@ ranks by parity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 
 import numpy as np
@@ -38,13 +40,12 @@ class TorClass:
 
     ``chain`` lives in degree ``degree`` of the Koszul complex (one
     block of module coordinates per sorted index subset, blocks in
-    lexicographic subset order); ``homology_coords`` is its image under
-    the degree's reduction map.
+    lexicographic subset order).  Its homology coordinates are
+    :meth:`DegreeHomology.reduce` of the chain.
     """
 
     degree: int
     chain: np.ndarray
-    homology_coords: np.ndarray
 
 
 def _merge_sign(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -59,8 +60,7 @@ def _nonzero_blocks(chain: np.ndarray, subsets, m: int) -> list:
     return [(s, blk) for s, blk in blocks if np.any(blk)]
 
 
-def chain_product(a: TorClass, b: TorClass, module: FlagKModule,
-                  homres: tuple[DegreeHomology, ...]) -> TorClass:
+def chain_product(a: TorClass, b: TorClass, module: FlagKModule) -> TorClass:
     """Product of two classes on their chain representatives.
 
     Block (S, T) of the inputs contributes to block S-union-T of the
@@ -75,8 +75,7 @@ def chain_product(a: TorClass, b: TorClass, module: FlagKModule,
     m = module.rank
     deg = a.degree + b.degree
     if deg > n:
-        return TorClass(degree=deg, chain=np.zeros(0, dtype=np.int64),
-                        homology_coords=np.zeros(0, dtype=np.int64))
+        return TorClass(degree=deg, chain=np.zeros(0, dtype=np.int64))
     subsets_a = homology.wedge_basis(n, a.degree)
     subsets_b = homology.wedge_basis(n, b.degree)
     if a.chain.shape != (len(subsets_a) * m,):
@@ -97,21 +96,16 @@ def chain_product(a: TorClass, b: TorClass, module: FlagKModule,
                 sign, merged = _merge_sign(s, t)
                 k = out_index[merged]
                 out[k * m:(k + 1) * m] += sign * prods[:, i, j].astype(object)
-    chain = linalg._shrink(out)
-    return TorClass(degree=deg, chain=chain,
-                    homology_coords=homres[deg].reduce(chain))
+    return TorClass(degree=deg, chain=linalg._shrink(out))
 
 
-def unit_class(module: FlagKModule,
-               homres: tuple[DegreeHomology, ...]) -> TorClass:
+def unit_class(module: FlagKModule) -> TorClass:
     """The degree-0 class of the ring unit."""
-    chain = linalg.as_int_array(module.unit_coords)
-    return TorClass(degree=0, chain=chain,
-                    homology_coords=homres[0].reduce(chain))
+    return TorClass(degree=0, chain=linalg.as_int_array(module.unit_coords))
 
 
-def change_of_rings_generators(chars: CharacterSet, module: FlagKModule,
-                               homres: tuple[DegreeHomology, ...]) -> tuple[TorClass, ...]:
+def change_of_rings_generators(chars: CharacterSet,
+                               module: FlagKModule) -> tuple[TorClass, ...]:
     """One degree-1 cycle per fundamental character.
 
     Each relator (character minus its dimension) has augmentation zero
@@ -137,8 +131,7 @@ def change_of_rings_generators(chars: CharacterSet, module: FlagKModule,
             boundary += step.astype(object)
         if np.any(boundary):
             raise DefectError(f"relator {i} fails the cycle condition")
-        out.append(TorClass(degree=1, chain=chain,
-                            homology_coords=homres[1].reduce(chain)))
+        out.append(TorClass(degree=1, chain=chain))
     return tuple(out)
 
 
@@ -154,24 +147,27 @@ class ExteriorCertificate:
 
 @dataclass(eq=False)
 class TorRing:
-    """The graded homology ring with its degree-1 generators."""
+    """The graded homology ring with its degree-1 generators.
+
+    Products are taken on chains; ``homology`` is kept for the
+    certificate, which reads the classes' coordinates.
+    """
 
     module: FlagKModule
     homology: tuple[DegreeHomology, ...]
     generators: tuple[TorClass, ...]
-    certification: ExteriorCertificate | None = None
 
     def product(self, a: TorClass, b: TorClass) -> TorClass:
-        return chain_product(a, b, self.module, self.homology)
+        return chain_product(a, b, self.module)
 
     def unit(self) -> TorClass:
-        return unit_class(self.module, self.homology)
+        return unit_class(self.module)
 
 
 def build_tor_ring(chars: CharacterSet, module: FlagKModule,
                    homres: tuple[DegreeHomology, ...]) -> TorRing:
     """Assemble the ring with its canonical degree-1 generators."""
-    gens = change_of_rings_generators(chars, module, homres)
+    gens = change_of_rings_generators(chars, module)
     return TorRing(module=module, homology=homres, generators=gens)
 
 
@@ -180,24 +176,23 @@ def certify_exterior(ring: TorRing) -> ExteriorCertificate:
 
     Checks, all exact: every generator squares to zero and generators
     anticommute (element-wise on chains); each degree p is torsion-free
-    of rank (n choose p); the ordered generator products written in
-    homology coordinates form a square matrix of determinant +-1 in
-    every degree.  On success the certificate is stored on the ring.
+    of rank (n choose p); the C(n, p) ordered generator products of
+    degree p, reduced to homology coordinates in one call, form a square
+    matrix of determinant +-1.
     """
     module = ring.module
-    homres = ring.homology
     n = module.datum.rank
     gens = ring.generators
 
     for i, gen in enumerate(gens):
-        square = chain_product(gen, gen, module, homres)
+        square = chain_product(gen, gen, module)
         if np.any(square.chain):
             raise CertificationError("generator-square-zero",
                                      witness={"generator": i})
     for i in range(n):
         for j in range(i + 1, n):
-            ij = chain_product(gens[i], gens[j], module, homres)
-            ji = chain_product(gens[j], gens[i], module, homres)
+            ij = chain_product(gens[i], gens[j], module)
+            ji = chain_product(gens[j], gens[i], module)
             if np.any(ij.chain + ji.chain):
                 raise CertificationError("generator-anticommute",
                                          witness={"pair": (i, j)})
@@ -205,33 +200,27 @@ def certify_exterior(ring: TorRing) -> ExteriorCertificate:
     dets = []
     classes: dict[tuple[int, ...], TorClass] = {(): ring.unit()}
     for p in range(n + 1):
-        columns = []
+        chains = []
         for subset in homology.wedge_basis(n, p):
-            if p == 0:
-                cls = classes[()]
-            else:
-                cls = chain_product(classes[subset[:-1]], gens[subset[-1]],
-                                    module, homres)
-                classes[subset] = cls
-            columns.append(cls.homology_coords)
-        h = homres[p]
+            if p > 0:
+                classes[subset] = chain_product(classes[subset[:-1]],
+                                                gens[subset[-1]], module)
+            chains.append(classes[subset].chain)
+        h = ring.homology[p]
         if h.torsion:
             raise CertificationError("tor-torsion-free",
                                      witness={"degree": p, "torsion": list(h.torsion)})
-        if h.betti != len(columns):
+        if h.betti != len(chains):
             raise CertificationError("tor-rank",
                                      witness={"degree": p, "betti": h.betti,
                                               "expected": comb(n, p)})
-        basis_matrix = np.stack(columns, axis=1)
-        det = int(linalg.det_exact(linalg.as_int_array(basis_matrix)))
+        det = int(linalg.det_exact(h.reduce(np.stack(chains, axis=1))))
         if det not in (1, -1):
             raise CertificationError("exterior-change-of-basis",
                                      witness={"degree": p, "determinant": det})
         dets.append(det)
-    cert = ExteriorCertificate(dets=tuple(dets), pairs_checked=n * (n - 1) // 2,
+    return ExteriorCertificate(dets=tuple(dets), pairs_checked=n * (n - 1) // 2,
                                squares_checked=n)
-    ring.certification = cert
-    return cert
 
 
 @dataclass(eq=False)
@@ -252,20 +241,7 @@ class KReport:
     versions: dict
 
     def to_dict(self) -> dict:
-        return {
-            "cartan_type": self.cartan_type,
-            "rank": self.rank,
-            "weyl_order": self.weyl_order,
-            "gram_determinant": self.gram_determinant,
-            "tor_table": self.tor_table,
-            "e2_table": self.e2_table,
-            "k0_rank": self.k0_rank,
-            "k1_rank": self.k1_rank,
-            "exterior_certified": self.exterior_certified,
-            "checks": self.checks,
-            "timings_ms": self.timings_ms,
-            "versions": self.versions,
-        }
+        return asdict(self)
 
 
 def assemble_report(cartan_type: str, module: FlagKModule,

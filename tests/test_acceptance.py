@@ -69,7 +69,6 @@ def test_criterion_4_exterior_algebra_certified(pipeline):
         assert len(cert.dets) == n + 1, name
         assert cert.squares_checked == n, name
         assert cert.pairs_checked == comb(n, 2), name
-        assert run.ring.certification is cert, name
     _conclude(4, "exterior algebra on n odd generators")
 
 
@@ -90,7 +89,7 @@ def test_criterion_6_independent_oracles(pipeline):
     # rational power-series oracle for every rank-2 type
     for name in ("A2", "B2", "G2", "A1xA1"):
         run = pipeline(name)
-        cutoff = cartan.positive_root_count(run.datum.ctype)
+        cutoff = len(cartan.positive_roots(run.datum))
         quo = oracles.truncated_quotient(run.chars.relators,
                                          run.datum.rank, cutoff)
         assert quo.dim == run.weyl.order, name

@@ -38,7 +38,8 @@ def test_weyl_order_closed_forms():
 
 def test_positive_root_counts():
     for name, count in POSITIVE_ROOTS.items():
-        assert cartan.positive_root_count(cartan.parse_type(name)) == count, name
+        datum = cartan.build_root_datum(cartan.parse_type(name))
+        assert len(cartan.positive_roots(datum)) == count, name
 
 
 def test_generated_group_matches_closed_form():

@@ -153,7 +153,7 @@ def test_characters_act_as_scalars(pipeline):
 def test_augmentation_operators_are_nilpotent(pipeline):
     run = pipeline("A2")
     module = run.module
-    bound = cartan.positive_root_count(run.datum.ctype) + 1
+    bound = len(cartan.positive_roots(run.datum)) + 1
     for m in module.mult_matrices:
         b = m - np.eye(module.rank, dtype=np.int64)
         power = np.eye(module.rank, dtype=object)

@@ -230,6 +230,9 @@ def test_homology_of_a1_pipeline(pipeline):
         for j in range(h.betti):
             coords = h.reduce(h.cycle_basis[:, j])
             assert coords.tolist() == [int(i == j) for i in range(h.betti)]
+        # and on the whole basis at once, as columns
+        assert h.reduce(h.cycle_basis).tolist() == \
+            np.eye(h.betti, dtype=np.int64).tolist()
 
 
 def test_reduce_ignores_boundaries(pipeline):
@@ -255,6 +258,12 @@ def test_reduce_rejects_non_cycles(pipeline):
         h.reduce(vec)
     with pytest.raises(ValueError):
         h.reduce(np.ones(run.chain_complex.ranks[1] + 1, dtype=np.int64))
+    # as columns: one non-cycle column fails the matrix, and so does a
+    # matrix whose row count is not this degree's rank
+    with pytest.raises(ValueError):
+        h.reduce(np.stack([h.cycle_basis[:, 0], vec], axis=1))
+    with pytest.raises(ValueError):
+        h.reduce(np.ones((run.chain_complex.ranks[1] + 1, 2), dtype=np.int64))
 
 
 def _commuting_family(rng, size, count):

@@ -1,6 +1,6 @@
 import copy
 
-from hodgkin import cli, verify
+from hodgkin import cli, torring, verify
 
 
 def test_check_result_serialization():
@@ -53,3 +53,14 @@ def test_property_checks_skip_expensive_suites_by_rank(pipeline):
     assert "rational-series-oracle" not in names
     assert "longest-word-independence" not in names
     assert "demazure-idempotent" in names
+
+
+def test_graded_commutativity_catches_a_lost_sign(pipeline, monkeypatch):
+    run = pipeline("A2")
+    assert verify.check_graded_commutativity(run).passed
+    # products that forget the sign of the wedge commute instead
+    monkeypatch.setattr(torring, "_merge_sign",
+                        lambda s, t: (1, tuple(sorted(s + t))))
+    result = verify.check_graded_commutativity(run)
+    assert not result.passed
+    assert "graded commutativity fails" in result.witness["error"]
