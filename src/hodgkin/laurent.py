@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 
 import numpy as np
 
@@ -74,8 +75,6 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly(self.nvars, {(0,) * self.nvars: other})
         return self + (-other)
 
     def __rsub__(self, other):
@@ -152,11 +151,8 @@ def augmentation(f: LaurentPoly) -> int:
 
 def weyl_act(w: Matrix, f: LaurentPoly) -> LaurentPoly:
     """Ring automorphism induced by ``lambda -> w(lambda)`` on exponents."""
-    out: dict[Vector, int] = {}
-    for exps, coeff in f.terms.items():
-        key = cartan.mat_vec(w, exps)
-        out[key] = out.get(key, 0) + coeff  # w is a bijection; no collisions
-    return LaurentPoly(f.nvars, out)
+    # w is a bijection on exponents, so no two terms collide
+    return LaurentPoly(f.nvars, {cartan.mat_vec(w, k): c for k, c in f.terms.items()})
 
 
 # --- Demazure operators -----------------------------------------------------
@@ -164,43 +160,52 @@ def weyl_act(w: Matrix, f: LaurentPoly) -> LaurentPoly:
 def demazure(datum: RootDatum, i: int, f: LaurentPoly) -> LaurentPoly:
     """Divided-difference operator for the i-th simple root (0-based).
 
-    Computes ``(f - e^{-alpha_i} s_i(f)) / (1 - e^{-alpha_i})`` and checks
-    the division is exact in the Laurent ring; on a single monomial the
-    quotient is the geometric string
+    Computes ``(f - e^{-alpha_i} s_i(f)) / (1 - e^{-alpha_i})``; on a
+    single monomial the quotient is the geometric string
 
         e^lambda + e^{lambda-alpha} + ... + e^{s_i(lambda)}      (k >= 0)
         0                                                        (k = -1)
         -(e^{lambda+alpha} + ... + e^{s_i(lambda)-alpha})        (k <= -2)
 
-    where ``k = <lambda, alpha_i^vee>`` is the i-th coordinate.
+    where ``k = <lambda, alpha_i^vee>`` is the i-th coordinate.  Each
+    string is walked down by -alpha, and every call certifies the
+    division exactly in one pass (:func:`_check_demazure_division`).
     """
-    n = f.nvars
     alpha = datum.simple_roots[i]
     out: dict[Vector, int] = {}
     for exps, coeff in f.terms.items():
-        k = exps[i]
-        if k >= 0:
-            for j in range(k + 1):
-                key = tuple(x - j * a for x, a in zip(exps, alpha))
-                out[key] = out.get(key, 0) + coeff
-        elif k <= -2:
-            for j in range(1, -k):
-                key = tuple(x + j * a for x, a in zip(exps, alpha))
-                out[key] = out.get(key, 0) - coeff
-    result = LaurentPoly(n, out)
+        steps = exps[i] + 1
+        if steps < 0:  # the negated string, from its top e^{s_i(lambda)-alpha}
+            exps = tuple(x - steps * a for x, a in zip(exps, alpha))
+            steps, coeff = -steps, -coeff
+        for _ in range(steps):
+            out[exps] = out.get(exps, 0) + coeff
+            exps = tuple(map(sub, exps, alpha))
+    result = LaurentPoly(f.nvars, out)
     _check_demazure_division(datum, i, f, result)
     return result
 
 
 def _check_demazure_division(datum: RootDatum, i: int, f: LaurentPoly,
                              q: LaurentPoly) -> None:
-    """Certify q * (1 - e^{-alpha_i}) == f - e^{-alpha_i} s_i(f)."""
+    """Certify q * (1 - e^{-alpha_i}) == f - e^{-alpha_i} s_i(f).
+
+    One table sums q - e^{-alpha} q - f + e^{-alpha} s_i(f) term by term
+    and must end all zero: e^{-alpha} s_i(e^lambda) is
+    e^{lambda - (lambda_i + 1) alpha}.
+    """
     alpha = datum.simple_roots[i]
-    neg_alpha = LaurentPoly.monomial(tuple(-a for a in alpha))
-    s_i = cartan.simple_reflection(datum, i)
-    lhs = q * (LaurentPoly.one(f.nvars) - neg_alpha)
-    rhs = f - neg_alpha * weyl_act(s_i, f)
-    if lhs != rhs:
+    acc: dict[Vector, int] = {}
+    for key, coeff in q.terms.items():
+        acc[key] = acc.get(key, 0) + coeff
+        key = tuple(map(sub, key, alpha))
+        acc[key] = acc.get(key, 0) - coeff
+    for key, coeff in f.terms.items():
+        shift = key[i] + 1
+        acc[key] = acc.get(key, 0) - coeff
+        key = tuple(x - shift * a for x, a in zip(key, alpha))
+        acc[key] = acc.get(key, 0) + coeff
+    if any(acc.values()):
         raise DefectError(
             f"inexact divided-difference division for generator {i}"
         )
@@ -349,40 +354,24 @@ def weight_dimension_grid(datum: RootDatum, left, right) -> np.ndarray:
 
 # --- augmentation ideal -----------------------------------------------------
 
-def _geometric_factor(nvars: int, j: int, k: int) -> LaurentPoly:
-    """q with ``t_j^k - 1 = q * (t_j - 1)``."""
-    terms: dict[Vector, int] = {}
-    if k > 0:
-        for e in range(k):
-            key = tuple(e if c == j else 0 for c in range(nvars))
-            terms[key] = 1
-    elif k < 0:
-        for e in range(1, -k + 1):
-            key = tuple(-e if c == j else 0 for c in range(nvars))
-            terms[key] = -1
-    return LaurentPoly(nvars, terms)
-
-
 def decompose_augmentation_ideal(f: LaurentPoly) -> tuple[LaurentPoly, ...]:
     """Write an augmentation-zero ``f`` as ``sum_j c_j * (t_j - 1)``.
 
     Each monomial is telescoped coordinate-by-coordinate in index order,
-    using ``t_j^-1 - 1 = -t_j^-1 (t_j - 1)`` for negative exponents, so
-    the output is deterministic.  Raises ``ValueError`` when the
-    augmentation of ``f`` is nonzero (no such decomposition exists).
+    e^lambda - 1 = sum_j (t_{j+1}^{lambda_{j+1}} ... t_n^{lambda_n})
+    (t_j^{lambda_j} - 1), and t_j^k - 1 is (1 + ... + t_j^{k-1}) (t_j - 1),
+    or -(t_j^k + ... + t_j^-1) (t_j - 1) for negative k; the cofactors'
+    terms are summed directly, in sorted term order.  Raises
+    ``ValueError`` when the augmentation of ``f`` is nonzero (no such
+    decomposition exists).
     """
     if augmentation(f) != 0:
         raise ValueError("augmentation is nonzero; not in the ideal")
-    n = f.nvars
-    cofactors = [LaurentPoly.zero(n) for _ in range(n)]
+    cofactors: list[dict[Vector, int]] = [{} for _ in range(f.nvars)]
     for exps, coeff in f.sorted_terms():
-        # e^lambda - 1 = sum_j (suffix monomial after j) * (t_j^{lambda_j} - 1)
-        for j in range(n):
-            if exps[j] == 0:
-                continue
-            suffix = tuple(
-                exps[c] if c > j else 0 for c in range(n)
-            )
-            piece = LaurentPoly.monomial(suffix, coeff) * _geometric_factor(n, j, exps[j])
-            cofactors[j] = cofactors[j] + piece
-    return tuple(cofactors)
+        for j, k in enumerate(exps):
+            powers, c = (range(k), coeff) if k > 0 else (range(k, 0), -coeff)
+            for e in powers:
+                key = (0,) * j + (e,) + exps[j + 1:]
+                cofactors[j][key] = cofactors[j].get(key, 0) + c
+    return tuple(LaurentPoly(f.nvars, terms) for terms in cofactors)

@@ -10,8 +10,8 @@ multiplication-by-``t_i`` operators directly off the series algebra.
 Quotient dimension and characteristic polynomials are then comparable
 with the integer engine's operators, exactly, over the rationals.
 
-Everything is stdlib: dense lists of Fractions, no shared linear
-algebra with the rest of the package.
+Everything is stdlib: dense lists of Fractions, and of Python integers
+for the characteristic polynomial, no shared linear algebra.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
-from math import comb
+from math import comb, lcm
+from operator import mul
 
+from .errors import DefectError
 from .laurent import LaurentPoly
 
 
@@ -196,23 +198,27 @@ def truncated_quotient(relators, nvars: int, cutoff: int) -> SeriesQuotient:
 def charpoly(matrix) -> tuple[Fraction, ...]:
     """Monic characteristic polynomial, highest power first, exact.
 
-    Faddeev–LeVerrier recursion over Fractions; accepts any square
-    array-like of integers or rationals (numpy arrays included).
+    Accepts any square array-like of integers or rationals (numpy arrays
+    included).  A = B / d, d the lcm of the denominators; Faddeev–LeVerrier
+    runs on the integer B, N_k = B (N_{k-1} + e_{k-1} I) and e_k =
+    -tr(N_k) / k with each division checked exact, and c_k = e_k / d^k.
     """
-    a = [[Fraction(int(x)) if not isinstance(x, Fraction) else x for x in row]
-         for row in matrix]
+    a = [[Fraction(x) for x in row] for row in matrix]
     n = len(a)
-    for row in a:
-        if len(row) != n:
-            raise ValueError("characteristic polynomial needs a square matrix")
-    coeffs = [Fraction(1)]
-    mk = [[Fraction(0)] * n for _ in range(n)]
+    if any(len(row) != n for row in a):
+        raise ValueError("characteristic polynomial needs a square matrix")
+    d = lcm(*(x.denominator for row in a for x in row))
+    b = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    coeffs = [1]
+    nk = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        # mk <- a @ (mk + c_{k-1} I)
-        shifted = [[mk[r][c] + (coeffs[-1] if r == c else 0) for c in range(n)]
-                   for r in range(n)]
-        mk = [[sum(a[r][t] * shifted[t][c] for t in range(n)) for c in range(n)]
-              for r in range(n)]
-        ck = -sum(mk[r][r] for r in range(n)) / k
-        coeffs.append(ck)
-    return tuple(coeffs)
+        # nk <- b @ (nk + e_{k-1} I)
+        for r in range(n):
+            nk[r][r] += coeffs[-1]
+        cols = list(zip(*nk))
+        nk = [[sum(map(mul, row, col)) for col in cols] for row in b]
+        ek, rem = divmod(-sum(nk[r][r] for r in range(n)), k)
+        if rem:
+            raise DefectError(f"Faddeev-LeVerrier trace not divisible by {k}")
+        coeffs.append(ek)
+    return tuple(Fraction(e, d ** k) for k, e in enumerate(coeffs))

@@ -189,6 +189,7 @@ def certify_exterior(ring: TorRing) -> ExteriorCertificate:
         if np.any(square.chain):
             raise CertificationError("generator-square-zero",
                                      witness={"generator": i})
+    classes: dict[tuple[int, ...], TorClass] = {(): ring.unit()}
     for i in range(n):
         for j in range(i + 1, n):
             ij = chain_product(gens[i], gens[j], module)
@@ -196,15 +197,19 @@ def certify_exterior(ring: TorRing) -> ExteriorCertificate:
             if np.any(ij.chain + ji.chain):
                 raise CertificationError("generator-anticommute",
                                          witness={"pair": (i, j)})
+            classes[(i, j)] = ij
 
     dets = []
-    classes: dict[tuple[int, ...], TorClass] = {(): ring.unit()}
     for p in range(n + 1):
         chains = []
         for subset in homology.wedge_basis(n, p):
-            if p > 0:
+            if subset not in classes:
                 classes[subset] = chain_product(classes[subset[:-1]],
                                                 gens[subset[-1]], module)
+            # the degree-2 classes above were taken on the generators themselves
+            if p == 1 and not np.array_equal(classes[subset].chain,
+                                             gens[subset[0]].chain):
+                raise DefectError(f"the unit does not fix generator {subset[0]}")
             chains.append(classes[subset].chain)
         h = ring.homology[p]
         if h.torsion:

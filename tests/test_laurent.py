@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hodgkin import cartan, laurent
+from hodgkin.errors import DefectError
 from hodgkin.laurent import LaurentPoly
 
 
@@ -102,6 +103,59 @@ def test_demazure_longest_word_gives_invariants():
         g = laurent.demazure_word(datum, weyl.longest_word, f)
         for w in weyl.elements:
             assert laurent.weyl_act(w, g) == g
+
+
+SWEEP_TYPES = ("A1", "A2", "A3", "B2", "G2", "A1xA1", "B3", "C3", "A4")
+
+
+def _generic_demazure(datum, i, f):
+    """The divided difference by the generic route: the per-j string
+    expansion, certified through ``__mul__``, ``weyl_act`` and
+    subtraction."""
+    n = f.nvars
+    alpha = datum.simple_roots[i]
+    q = LaurentPoly.zero(n)
+    for exps, coeff in f.terms.items():
+        k = exps[i]
+        js = range(k + 1) if k >= 0 else range(-1, k, -1)
+        sign = 1 if k >= 0 else -1
+        for j in js:
+            key = tuple(x - j * a for x, a in zip(exps, alpha))
+            q = q + LaurentPoly.monomial(key, sign * coeff)
+    neg_alpha = LaurentPoly.monomial(tuple(-a for a in alpha))
+    s_i = cartan.simple_reflection(datum, i)
+    lhs = q * (LaurentPoly.one(n) - neg_alpha)
+    assert lhs == f - neg_alpha * laurent.weyl_act(s_i, f)
+    return q
+
+
+def test_demazure_matches_generic_route_on_sweep_types():
+    rng = random.Random(17)
+    for name in SWEEP_TYPES:
+        datum = _datum(name)
+        for i in range(datum.rank):
+            for _ in range(12):
+                f = _random_poly(rng, datum.rank, terms=5, span=4)
+                assert laurent.demazure(datum, i, f) == \
+                    _generic_demazure(datum, i, f), (name, i, f)
+
+
+def test_division_certificate_rejects_wrong_quotients():
+    datum = _datum("B2")
+    f = _random_poly(random.Random(18), 2, terms=5, span=4)
+    for i in range(2):
+        alpha = datum.simple_roots[i]
+        q = laurent.demazure(datum, i, f)
+        assert not q.is_zero()
+        laurent._check_demazure_division(datum, i, f, q)
+        key, coeff = q.sorted_terms()[0]
+        off_by_one = q + LaurentPoly.monomial(key)
+        shifted = q - LaurentPoly.monomial(key, coeff) + LaurentPoly.monomial(
+            tuple(x + a for x, a in zip(key, alpha)), coeff)
+        for wrong in (off_by_one, shifted):
+            with pytest.raises(DefectError, match="^inexact divided-difference "
+                                                  f"division for generator {i}$"):
+                laurent._check_demazure_division(datum, i, f, wrong)
 
 
 def test_character_dimensions_golden():

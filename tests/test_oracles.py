@@ -94,3 +94,35 @@ def test_charpoly_constant_term_is_signed_determinant():
                       for _ in range(n)], dtype=object)
         coeffs = oracles.charpoly(a)
         assert coeffs[-1] == Fraction((-1) ** n * linalg.det_exact(a))
+
+
+def _fraction_charpoly(matrix):
+    """Faddeev–LeVerrier over Fractions, the reference for the integer
+    recursion."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    coeffs = [Fraction(1)]
+    mk = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        shifted = [[mk[r][c] + (coeffs[-1] if r == c else 0) for c in range(n)]
+                   for r in range(n)]
+        mk = [[sum(a[r][t] * shifted[t][c] for t in range(n)) for c in range(n)]
+              for r in range(n)]
+        coeffs.append(-sum(mk[r][r] for r in range(n)) / k)
+    return tuple(coeffs)
+
+
+def test_charpoly_matches_fraction_recursion():
+    rng = random.Random(53)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        mixed = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7)))
+                  for _ in range(n)] for _ in range(n)]
+        assert oracles.charpoly(mixed) == _fraction_charpoly(mixed)
+        huge = np.array([[rng.choice((1, -1)) * rng.randint(2 ** 63, 2 ** 70)
+                          for _ in range(n)] for _ in range(n)], dtype=object)
+        assert oracles.charpoly(huge) == _fraction_charpoly(huge.tolist())
+    assert oracles.charpoly(np.zeros((0, 0), dtype=object)) == (Fraction(1),)
+    assert oracles.charpoly([]) == _fraction_charpoly([]) == (Fraction(1),)
+    with pytest.raises(ValueError, match="square"):
+        oracles.charpoly([[Fraction(1, 2), 3]])
