@@ -63,7 +63,7 @@ class PipelineRun:
     module: flagk.FlagKModule | None = None
     chain_complex: homology.ChainComplex | None = None
     homology: tuple | None = None
-    ring: torring.TorRing | None = None
+    generators: tuple | None = None
     certificate: torring.ExteriorCertificate | None = None
     timings_ms: dict = field(default_factory=dict)
     failure: dict | None = None
@@ -120,9 +120,9 @@ def run_pipeline(type_string: str, *, max_weyl_order: int = cartan.DEFAULT_WEYL_
         run.timings_ms["homology"] = (clock() - t0) * 1000.0
 
         t0 = clock()
-        ring = torring.build_tor_ring(run.chars, run.module, run.homology)
-        run.ring = ring
-        run.certificate = torring.certify_exterior(ring)
+        run.generators = torring.change_of_rings_generators(run.chars, run.module)
+        run.certificate = torring.certify_exterior(run.module, run.homology,
+                                                   run.generators)
         run.timings_ms["torring"] = (clock() - t0) * 1000.0
     except CertificationError as exc:
         run.failure = {"name": exc.check, "pass": False, "witness": exc.witness}
@@ -233,12 +233,8 @@ def cmd_compute(args) -> int:
     # checked before the run, so a bad path does not cost the report
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         raise UsageError(f"--out: {args.out} is not a file in an existing directory")
-    try:
-        run = run_pipeline(args.type, max_weyl_order=args.max_weyl_order,
-                           cache_dir=resolve_cache_dir(args.cache_dir))
-    except ResourceGuardError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return 3
+    run = run_pipeline(args.type, max_weyl_order=args.max_weyl_order,
+                       cache_dir=resolve_cache_dir(args.cache_dir))
     checks = [c.to_dict() for c in verify.fast_checks(run)] \
         if run.module is not None else []
     if run.failure is not None:
@@ -249,12 +245,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        run = run_pipeline(args.type, max_weyl_order=args.max_weyl_order,
-                           cache_dir=resolve_cache_dir(args.cache_dir))
-    except ResourceGuardError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return 3
+    run = run_pipeline(args.type, max_weyl_order=args.max_weyl_order,
+                       cache_dir=resolve_cache_dir(args.cache_dir))
     checks = []
     if run.module is not None:
         checks += verify.fast_checks(run)
@@ -341,6 +333,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except ResourceGuardError as exc:
+        print(f"resource guard: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

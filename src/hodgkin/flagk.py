@@ -17,18 +17,17 @@ Every M_i is solved through the certified Gram inverse, except its
 columns that shift a basis weight onto another one: those are unit
 vectors, since their right-hand sides are columns of the Gram matrix.
 
-Two routes compute the pairing: the contractual composite of Demazure
-operators (:func:`pairing`), and an internal closed form used for bulk
-construction work — on monomials the pairing is the Weyl dimension
-polynomial evaluated at the summed exponents,
+The pairing has one definition, the composite of Demazure operators
+(:func:`pairing`), and one route the module is built from: on
+monomials it is the Weyl dimension polynomial evaluated at the summed
+exponents,
 
     <e^a, e^b> = prod_{alpha^vee > 0} <a + b + rho, alpha^vee> / <rho, alpha^vee>,
 
-which the property suite cross-checks against the Demazure route.  The
-Gram matrix, the right-hand sides of every multiplication operator and
-of every coordinate solve are that closed form evaluated over whole
-grids of weights (:func:`laurent.weight_dimension_grid`), one coroot at
-a time.
+evaluated over whole grids of weights (:func:`laurent.weight_dimension_grid`),
+one coroot at a time.  The Gram matrix, the right-hand sides of every
+multiplication operator and of every coordinate solve are such grids;
+the property suite checks that grid against the Demazure definition.
 """
 
 from __future__ import annotations
@@ -56,16 +55,6 @@ def pairing(datum: RootDatum, weyl: WeylGroup, f: LaurentPoly, g: LaurentPoly) -
     return laurent.augmentation(
         laurent.demazure_word(datum, weyl.longest_word, f * g)
     )
-
-
-def pairing_bilinear(datum: RootDatum, f: LaurentPoly, g: LaurentPoly) -> int:
-    """Same value through the closed form, without Demazure operators."""
-    total = 0
-    for ea, ca in f.terms.items():
-        for eb, cb in g.terms.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            total += ca * cb * laurent.signed_weight_dimension(datum, key)
-    return total
 
 
 # --- the basis -------------------------------------------------------------

@@ -93,9 +93,6 @@ class SeriesQuotient:
     as nested lists, column per basis element.
     """
 
-    nvars: int
-    cutoff: int
-    monomials: list[tuple[int, ...]]
     basis: list[tuple[int, ...]]
     mult_ops: list[list[list[Fraction]]]
 
@@ -191,8 +188,7 @@ def truncated_quotient(relators, nvars: int, cutoff: int) -> SeriesQuotient:
             columns.append(reduce_vector(densify(product)))
         op = [[columns[c][r] for c in range(len(basis))] for r in range(len(basis))]
         mult_ops.append(op)
-    return SeriesQuotient(nvars=nvars, cutoff=cutoff, monomials=monomials,
-                          basis=basis, mult_ops=mult_ops)
+    return SeriesQuotient(basis=basis, mult_ops=mult_ops)
 
 
 def charpoly(matrix) -> tuple[Fraction, ...]:

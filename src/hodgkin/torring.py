@@ -99,11 +99,6 @@ def chain_product(a: TorClass, b: TorClass, module: FlagKModule) -> TorClass:
     return TorClass(degree=deg, chain=linalg._shrink(out))
 
 
-def unit_class(module: FlagKModule) -> TorClass:
-    """The degree-0 class of the ring unit."""
-    return TorClass(degree=0, chain=linalg.as_int_array(module.unit_coords))
-
-
 def change_of_rings_generators(chars: CharacterSet,
                                module: FlagKModule) -> tuple[TorClass, ...]:
     """One degree-1 cycle per fundamental character.
@@ -145,33 +140,8 @@ class ExteriorCertificate:
     squares_checked: int
 
 
-@dataclass(eq=False)
-class TorRing:
-    """The graded homology ring with its degree-1 generators.
-
-    Products are taken on chains; ``homology`` is kept for the
-    certificate, which reads the classes' coordinates.
-    """
-
-    module: FlagKModule
-    homology: tuple[DegreeHomology, ...]
-    generators: tuple[TorClass, ...]
-
-    def product(self, a: TorClass, b: TorClass) -> TorClass:
-        return chain_product(a, b, self.module)
-
-    def unit(self) -> TorClass:
-        return unit_class(self.module)
-
-
-def build_tor_ring(chars: CharacterSet, module: FlagKModule,
-                   homres: tuple[DegreeHomology, ...]) -> TorRing:
-    """Assemble the ring with its canonical degree-1 generators."""
-    gens = change_of_rings_generators(chars, module)
-    return TorRing(module=module, homology=homres, generators=gens)
-
-
-def certify_exterior(ring: TorRing) -> ExteriorCertificate:
+def certify_exterior(module: FlagKModule, homres: tuple[DegreeHomology, ...],
+                     generators: tuple[TorClass, ...]) -> ExteriorCertificate:
     """Certify the exterior-algebra structure, or raise with a witness.
 
     Checks, all exact: every generator squares to zero and generators
@@ -180,20 +150,18 @@ def certify_exterior(ring: TorRing) -> ExteriorCertificate:
     degree p, reduced to homology coordinates in one call, form a square
     matrix of determinant +-1.
     """
-    module = ring.module
     n = module.datum.rank
-    gens = ring.generators
 
-    for i, gen in enumerate(gens):
+    for i, gen in enumerate(generators):
         square = chain_product(gen, gen, module)
         if np.any(square.chain):
             raise CertificationError("generator-square-zero",
                                      witness={"generator": i})
-    classes: dict[tuple[int, ...], TorClass] = {(): ring.unit()}
+    classes: dict[tuple[int, ...], TorClass] = {(): TorClass(0, module.unit_coords)}
     for i in range(n):
         for j in range(i + 1, n):
-            ij = chain_product(gens[i], gens[j], module)
-            ji = chain_product(gens[j], gens[i], module)
+            ij = chain_product(generators[i], generators[j], module)
+            ji = chain_product(generators[j], generators[i], module)
             if np.any(ij.chain + ji.chain):
                 raise CertificationError("generator-anticommute",
                                          witness={"pair": (i, j)})
@@ -205,13 +173,13 @@ def certify_exterior(ring: TorRing) -> ExteriorCertificate:
         for subset in homology.wedge_basis(n, p):
             if subset not in classes:
                 classes[subset] = chain_product(classes[subset[:-1]],
-                                                gens[subset[-1]], module)
+                                                generators[subset[-1]], module)
             # the degree-2 classes above were taken on the generators themselves
             if p == 1 and not np.array_equal(classes[subset].chain,
-                                             gens[subset[0]].chain):
+                                             generators[subset[0]].chain):
                 raise DefectError(f"the unit does not fix generator {subset[0]}")
             chains.append(classes[subset].chain)
-        h = ring.homology[p]
+        h = homres[p]
         if h.torsion:
             raise CertificationError("tor-torsion-free",
                                      witness={"degree": p, "torsion": list(h.torsion)})

@@ -59,10 +59,10 @@ def _random_poly(rng: random.Random, nvars: int, max_terms: int = 5,
 def fast_checks(run) -> list[CheckResult]:
     """Type-level certifications, re-stated from a finished pipeline run.
 
-    ``run`` carries datum/weyl/chars/module/chain_complex/homology/ring/
-    certificate (see the command-line driver).  These checks recompute
-    nothing heavy; they assert the certified facts and the closed-form
-    cross-checks.
+    ``run`` carries datum/weyl/chars/module/chain_complex/homology/
+    generators/certificate (see the command-line driver).  These checks
+    recompute nothing heavy; they assert the certified facts and the
+    closed-form cross-checks.
     """
     datum, weyl, module = run.datum, run.weyl, run.module
     n = datum.rank
@@ -85,7 +85,7 @@ def fast_checks(run) -> list[CheckResult]:
         torsion = [list(h.torsion) for h in run.homology]
 
         def unit_class():
-            coords = run.homology[0].reduce(linalg.as_int_array(module.unit_coords))
+            coords = run.homology[0].reduce(module.unit_coords)
             if abs(int(coords[0])) != 1:
                 raise AssertionError("unit does not generate degree 0")
             return None
@@ -206,21 +206,21 @@ def check_decompose_roundtrip(nvars: int, seed: int = DEFAULT_SEED) -> CheckResu
 
 
 def check_pairing_routes(datum, weyl, seed: int = DEFAULT_SEED) -> CheckResult:
-    """The Demazure pairing and its closed form agree on random monomials."""
+    """The Demazure pairing agrees on random monomials with the weight
+    grid that the module's Gram matrix and operators are built from."""
     def body():
         from . import flagk
         trials = 40
         rng = random.Random(seed)
         n = datum.rank
         for _ in range(trials):
-            a = LaurentPoly.monomial(tuple(rng.randint(-2, 2) for _ in range(n)),
-                                     rng.randint(-3, 3) or 1)
-            b = LaurentPoly.monomial(tuple(rng.randint(-2, 2) for _ in range(n)),
-                                     rng.randint(-3, 3) or 1)
+            la, ca = tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-3, 3) or 1
+            mu, cb = tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-3, 3) or 1
+            a, b = LaurentPoly.monomial(la, ca), LaurentPoly.monomial(mu, cb)
             slow = flagk.pairing(datum, weyl, a, b)
-            fast = flagk.pairing_bilinear(datum, a, b)
-            if slow != fast:
-                raise AssertionError(f"{slow} != {fast} on {a}, {b}")
+            grid = ca * cb * int(laurent.weight_dimension_grid(datum, [la], [mu])[0, 0])
+            if slow != grid:
+                raise AssertionError(f"{slow} != {grid} on {a}, {b}")
         return {"trials": trials}
     return _guard("pairing-route-agreement", body)
 
@@ -300,25 +300,32 @@ def check_rational_oracle(datum, weyl, chars, module) -> CheckResult:
 
 
 def check_graded_commutativity(run, seed: int = DEFAULT_SEED) -> CheckResult:
-    """a*b = (-1)^{pq} b*a on chains for random products of the degree-1
-    generators: the Koszul product over a commutative module is
-    graded-commutative on chains, not only in homology."""
+    """a*b = (-1)^{pq} b*a on chains, where a is a random module element
+    (p = 0) or a random product of p degree-1 generators, and b a random
+    product of q >= 1 of them: the Koszul product over a commutative
+    module is graded-commutative on chains, not only in homology."""
     def body():
         from . import torring
         trials = 8
         rng = random.Random(seed)
-        ring, module = run.ring, run.module
+        gens, module = run.generators, run.module
         n = module.datum.rank
-        gens = ring.generators
+
+        def word(k):
+            out = gens[rng.randrange(n)]
+            for _ in range(k - 1):
+                out = torring.chain_product(out, gens[rng.randrange(n)], module)
+            return out
+
         for _ in range(trials):
-            p = rng.randint(1, max(1, n - 1))
-            q = rng.randint(1, max(1, n - p))
-            a = gens[rng.randrange(n)]
-            for _ in range(p - 1):
-                a = torring.chain_product(a, gens[rng.randrange(n)], module)
-            b = gens[rng.randrange(n)]
-            for _ in range(q - 1):
-                b = torring.chain_product(b, gens[rng.randrange(n)], module)
+            p = rng.randint(0, n - 1)
+            q = rng.randint(1, n - p)
+            if p == 0:  # a module element
+                coords = [rng.randint(-3, 3) or 1 for _ in range(module.rank)]
+                a = torring.TorClass(0, np.array(coords, dtype=np.int64))
+            else:
+                a = word(p)
+            b = word(q)
             ab = torring.chain_product(a, b, module)
             ba = torring.chain_product(b, a, module)
             sign = -1 if (p * q) % 2 else 1
@@ -343,6 +350,6 @@ def property_checks(run, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     checks.append(check_ext_mirror(run.chain_complex, run.homology))
     if datum.rank <= 2:
         checks.append(check_rational_oracle(datum, weyl, run.chars, run.module))
-    if run.ring is not None:
+    if run.generators is not None:
         checks.append(check_graded_commutativity(run, seed=seed))
     return checks

@@ -29,6 +29,13 @@ def test_resource_guard_exits_three(capsys):
     assert "696729600" in err
 
 
+def test_verify_resource_guard_exits_three(capsys):
+    code, out, err = _run(["verify", "--type", "E8"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("resource guard: ") and err.count("\n") == 1
+    assert "696729600" in err
+
+
 @pytest.mark.parametrize("name", ["A3000", "A100000", "A1000000000", "C100000"])
 def test_resource_guard_fires_before_anything_is_built(name, monkeypatch, capsys):
     def refuse(ctype):
@@ -241,7 +248,7 @@ def test_cache_dir_resolution(tmp_path, monkeypatch):
 
 
 def test_certification_failure_exits_two(tmp_path, capsys, monkeypatch):
-    def sabotage(ring):
+    def sabotage(*args):
         raise CertificationError("generator-square-zero",
                                  witness={"generator": 0})
     monkeypatch.setattr(torring, "certify_exterior", sabotage)
@@ -273,7 +280,7 @@ def test_verify_full_runs_property_suites(tmp_path, capsys):
 
 
 def test_verify_failure_exits_two(tmp_path, capsys, monkeypatch):
-    def sabotage(ring):
+    def sabotage(*args):
         raise CertificationError("tor-rank", witness={"ranks": [9]})
     monkeypatch.setattr(torring, "certify_exterior", sabotage)
     code, out, _ = _run(["verify", "--type", "A1",

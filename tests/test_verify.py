@@ -1,6 +1,6 @@
 import copy
 
-from hodgkin import cli, torring, verify
+from hodgkin import cli, flagk, laurent, torring, verify
 
 
 def test_check_result_serialization():
@@ -64,3 +64,27 @@ def test_graded_commutativity_catches_a_lost_sign(pipeline, monkeypatch):
     result = verify.check_graded_commutativity(run)
     assert not result.passed
     assert "graded commutativity fails" in result.witness["error"]
+
+
+def test_graded_commutativity_is_not_vacuous_on_rank_one(pipeline, monkeypatch):
+    run = pipeline("A1")
+    assert verify.check_graded_commutativity(run).passed
+    # products that add the left factor are no longer commutative: on
+    # A1 only a degree-0 left factor can show it, as z*z lands past n
+    orig = flagk.FlagKModule.products
+    monkeypatch.setattr(flagk.FlagKModule, "products",
+                        lambda self, xs, ys: orig(self, xs, ys) + xs[:, :, None])
+    result = verify.check_graded_commutativity(run)
+    assert not result.passed
+    assert "graded commutativity fails" in result.witness["error"]
+
+
+def test_pairing_routes_read_the_weight_grid(pipeline, monkeypatch):
+    run = pipeline("A2")
+    assert verify.check_pairing_routes(run.datum, run.weyl).passed
+    orig = laurent.weight_dimension_grid
+    monkeypatch.setattr(laurent, "weight_dimension_grid",
+                        lambda datum, left, right: orig(datum, left, right) + 1)
+    result = verify.check_pairing_routes(run.datum, run.weyl)
+    assert not result.passed
+    assert result.name == "pairing-route-agreement"
