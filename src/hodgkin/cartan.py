@@ -265,18 +265,25 @@ class WeylGroup:
 def generate_weyl(datum: RootDatum, max_order: int = DEFAULT_WEYL_GUARD) -> WeylGroup:
     """Enumerate the Weyl group by closure under the simple reflections.
 
+    s_i = I - alpha_i e_i^T, so s_i w = w - alpha_i (row i of w): a
+    rank-one step that changes only the rows where alpha_i is nonzero.
+
     Raises :class:`ResourceGuardError` (before doing any work) when the
     closed-form order exceeds ``max_order``, see :func:`guarded_weyl_order`.
     """
     expected = guarded_weyl_order(datum.ctype, max_order)
     gens = tuple(simple_reflection(datum, i) for i in range(datum.rank))
+    supports = [[(r, a) for r, a in enumerate(alpha) if a] for alpha in datum.simple_roots]
     seen = {identity_matrix(datum.rank)}
     frontier = list(seen)
     while frontier:
         new = []
         for w in frontier:
-            for s in gens:
-                ws = mat_mul(s, w)
+            for i, support in enumerate(supports):
+                ws = list(w)
+                for r, a in support:
+                    ws[r] = tuple(x - a * y for x, y in zip(w[r], w[i]))
+                ws = tuple(ws)
                 if ws not in seen:
                     seen.add(ws)
                     new.append(ws)

@@ -82,8 +82,8 @@ def _certify_gram(datum: RootDatum, weights):
     Unimodularity is certified through the exact integer inverse: an
     integer X with G @ X == I forces det(G) * det(X) == 1 over the
     integers, hence det(G) in {+1, -1}.  The sign is the determinant
-    residue, 1 or p - 1, of the first prime's elimination in that
-    inverse's reconstruction; no separate determinant is computed.
+    residue, 1 or p - 1, of the one modular elimination that inverse is
+    lifted from; no separate determinant is computed.
     Otherwise ``gram-unimodular`` fails with the exact determinant as
     witness.
     """
@@ -250,7 +250,8 @@ def build_module(datum: RootDatum, weyl: WeylGroup, chars: CharacterSet,
     from a cache.  Always certified: the Gram determinant is +-1 and the
     inverse is exact (else ``gram-unimodular`` fails, with the
     determinant as witness); each multiplication matrix composed with
-    its inverse gives the identity.  With ``audit=True``
+    its inverse gives the identity, a product that takes M_i^-1's unit
+    columns with no arithmetic.  With ``audit=True``
     :func:`_audit_module` also certifies that the unit generates the
     module, that the M_i commute and that the module satisfies the
     defining relations of the quotient; :func:`homology.koszul_complex`
@@ -277,7 +278,8 @@ def build_module(datum: RootDatum, weyl: WeylGroup, chars: CharacterSet,
         neg = tuple(-int(j == i) for j in range(n))
         m_i = module.monomial_operator(step)
         m_i_inv = module.monomial_operator(neg)
-        if not np.array_equal(linalg.dot_exact(m_i, m_i_inv), np.eye(m, dtype=np.int64)):
+        if not np.array_equal(linalg.dot_unit_columns(m_i, m_i_inv),
+                              np.eye(m, dtype=np.int64)):
             raise CertificationError("mult-matrix-invertible", witness={"generator": i})
         mult.append(m_i)
         mult_inv.append(m_i_inv)
@@ -298,7 +300,10 @@ def _audit_module(module: FlagKModule) -> None:
        is the pipeline's one commutativity check; it is what makes the
        Koszul complex of the M_i - I a complex, and
        :func:`homology.homology_of` meets d∘d = 0 again, exactly, as a
-       by-product of its reduction.
+       by-product of its reduction.  Each product copies the columns of
+       its left factor that the right factor's unit columns select
+       (:func:`linalg.dot_unit_columns`); a third to a half of each M_i's
+       columns are unit vectors.
     3. Each relation P(M) = 0 of the quotient is checked on u alone:
        ``character-relation`` chi_j(M) u = dim_j u for every fundamental
        character, and ``augmentation-nilpotent`` (M_i - I)^N u = 0 with
@@ -319,8 +324,8 @@ def _audit_module(module: FlagKModule) -> None:
 
     for i in range(datum.rank):
         for j in range(i + 1, datum.rank):
-            ab = linalg.dot_exact(module.mult_matrices[i], module.mult_matrices[j])
-            ba = linalg.dot_exact(module.mult_matrices[j], module.mult_matrices[i])
+            ab = linalg.dot_unit_columns(module.mult_matrices[i], module.mult_matrices[j])
+            ba = linalg.dot_unit_columns(module.mult_matrices[j], module.mult_matrices[i])
             if not np.array_equal(ab, ba):
                 raise CertificationError("mult-matrices-commute",
                                          witness={"generators": (i, j)})

@@ -207,7 +207,7 @@ def homology_of(cx: ChainComplex) -> tuple[DegreeHomology, ...]:
         if np.any(folded[:r, :]):
             raise DefectError(f"boundaries escape the kernel at degree {p}")
         relations = folded[r:, :]
-        sm_rel = linalg.smith(relations)
+        sm_rel = linalg.smith(relations, _columns=False)
         s = sm_rel.rank
         torsion = tuple(int(d) for d in sm_rel.diag[:s] if d > 1)
         betti = cx.ranks[p] - r - s

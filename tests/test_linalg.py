@@ -279,6 +279,100 @@ def test_inverse_unimodular_rejects_non_units():
         linalg.inverse_unimodular(np.array([[1, 1], [1, 1]]))
 
 
+def _seeded_unimodular(rng, n, span):
+    """L U with unit lower L and upper U of diagonal +-1: determinant +-1,
+    and an inverse whose entries grow with ``span``."""
+    lower = np.tril(rng.integers(-span, span + 1, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(-span, span + 1, size=(n, n)), 1) \
+        + np.diag(rng.choice([-1, 1], size=n))
+    return linalg.dot_exact(lower, upper)
+
+
+def test_inverse_unimodular_lifts_past_int64(monkeypatch):
+    p = linalg.crt_primes(1)[0]
+    products = []
+    original = linalg.dot_exact
+
+    def counting(a, b):
+        products.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(linalg, "dot_exact", counting)
+    dtypes = set()
+    for seed, n, span in ((0, 12, 9), (1, 8, 99), (2, 10, 999)):
+        a = _seeded_unimodular(np.random.default_rng(seed), n, span)
+        products.clear()
+        inv, det = linalg.inverse_unimodular(a)
+        calls = len(products)
+        assert np.array_equal(linalg.dot_exact(a, inv), np.eye(n, dtype=np.int64))
+        assert det == linalg.det_exact(a)
+        # the least p^k above twice every entry; one lift per step past p
+        least = next(k for k in range(1, 99) if 2 * linalg._maxabs(inv) < p ** k)
+        assert least >= 3
+        assert calls == 2 * least - 1  # each step: its A X check, then a lift
+        dtypes.add(inv.dtype)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_inverse_unimodular_rejects_what_one_prime_cannot_tell():
+    p = linalg.crt_primes(1)[0]
+    for diag in ((1 + p, 1), (p, 1), (2, 1), (1 - p, -1)):
+        with pytest.raises(ValueError):
+            linalg.inverse_unimodular(np.diag(diag))
+
+
+def test_inverse_unimodular_rejects_a_wrong_modular_inverse(monkeypatch):
+    # a residual that does not divide exactly means C is not A^-1 mod p
+    original = linalg._inverse_mod
+
+    def off_by_one(a, p):
+        inv, det = original(a, p)
+        return (inv + 1) % p, det
+
+    monkeypatch.setattr(linalg, "_inverse_mod", off_by_one)
+    a = _seeded_unimodular(np.random.default_rng(1), 8, 99)
+    with pytest.raises(ValueError, match="not divisible"):
+        linalg.inverse_unimodular(a)
+
+
+def _operator_with_units(rng, m, units, entries):
+    """An m x m matrix whose columns ``units`` are unit vectors e_c and
+    whose other columns hold ``entries``, a function of the shape."""
+    b = entries((m, m))
+    for col in units:
+        b[:, col] = 0
+        b[rng.integers(m), col] = 1
+    return b
+
+
+def test_unit_column_product_matches_dot_exact():
+    rng = np.random.default_rng(11)
+    m = 9
+    small = lambda shape: rng.integers(-5, 6, size=shape)  # noqa: E731
+    huge = lambda shape: np.array(  # noqa: E731
+        [int(x) << 70 for x in rng.integers(-5, 6, size=shape).flat],
+        dtype=object).reshape(shape)
+    edge = lambda shape: rng.choice([(1 << 62) + 1, -(1 << 62), 3], size=shape)  # noqa: E731
+    cases = []
+    for units in (range(m), [0, 3, 4, 8], []):
+        for left in (small, huge, edge):
+            for right in (small, huge):
+                cases.append((left((m, m)), _operator_with_units(rng, m, units, right)))
+    # a zero column and a lone -1 or 2 are no unit columns, in int64 or object
+    b = _operator_with_units(rng, m, [1, 2], small)
+    b[:, 5] = 0
+    b[:, 6] = 0
+    b[2, 6] = -1
+    b[:, 7] = 0
+    b[4, 7] = 2
+    cases.append((small((m, m)), b))
+    cases.append((small((m, m)).astype(object), b.astype(object)))
+    for a, b in cases:
+        got, want = linalg.dot_unit_columns(a, b), linalg.dot_exact(a, b)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+
 def test_smith_goldens():
     sm = linalg.smith(np.array([[2, 0], [0, 3]]))
     assert [d for d in sm.diag if d] == [1, 6]

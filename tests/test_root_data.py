@@ -188,3 +188,17 @@ def test_steinberg_weights_match_digests():
         datum = _datum(name)
         weights = flagk.steinberg_weights(datum, cartan.generate_weyl(datum))
         assert _digest(weights) == digest, name
+
+
+def test_weyl_closure_matches_matrix_products():
+    # the rank-one reflection step gives the closure of generic products
+    for name in ("C4", "F4", "G2", "A1xA1"):
+        datum = _datum(name)
+        gens = [cartan.simple_reflection(datum, i) for i in range(datum.rank)]
+        seen = {cartan.identity_matrix(datum.rank)}
+        frontier = list(seen)
+        while frontier:
+            images = {cartan.mat_mul(s, w) for w in frontier for s in gens}
+            frontier = list(images - seen)
+            seen |= images
+        assert cartan.generate_weyl(datum).elements == tuple(sorted(seen)), name

@@ -1,5 +1,4 @@
 import json
-from math import comb
 
 import numpy as np
 import pytest
@@ -101,9 +100,6 @@ def test_certification_dets_golden(pipeline):
         cert = run.certificate
         assert cert is not None, name
         assert cert.dets == dets, name
-        n = run.datum.rank
-        assert cert.squares_checked == n
-        assert cert.pairs_checked == comb(n, 2)
 
 
 def test_certify_rejects_degenerate_generators(pipeline):
