@@ -9,10 +9,8 @@ still emitted, with witnesses), 3 a resource guard tripped.
 Reports are deterministic: identical inputs give byte-identical JSON,
 with timings excluded from that contract via ``--no-timings``.
 
-The cache entry (basis, Gram matrix, multiplication matrices) is written
-after every module build and never read back: the module always comes
-from the engine, certified afresh, so no cached datum reaches a report.
-A cache that cannot be written costs one line on stderr, not the run.
+Nothing is cached: every run builds and certifies its module afresh,
+and no command writes a file other than the ``--out`` report.
 
 Where each fact is checked, once: the Gram determinant and inverse and
 M_i M_i^-1 = I in :func:`flagk.build_module`; that the unit generates,
@@ -27,9 +25,7 @@ and more by independent routes.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -77,9 +73,9 @@ def run_pipeline(type_string: str, *, max_weyl_order: int = cartan.DEFAULT_WEYL_
     yet); the Weyl-order guard is checked on the parsed type, before
     anything is built.  Certification failures after that are captured
     on the run so the caller can still emit a report with the witness.
-    With ``cache_dir`` the module's cache entry is written there; it is
-    never read.  ``audit`` governs only the flag module's audit; the
-    homology is always certified.
+    ``audit`` governs only the flag module's audit; the homology is
+    always certified.  ``cache_dir`` is ignored: nothing is cached, and
+    the keyword goes once ``perfbench/child.py`` stops passing it.
     """
     ctype = cartan.parse_type(type_string)
     cartan.guarded_weyl_order(ctype, max_weyl_order)
@@ -102,12 +98,6 @@ def run_pipeline(type_string: str, *, max_weyl_order: int = cartan.DEFAULT_WEYL_
         t0 = clock()
         run.module = flagk.build_module(datum, run.weyl, run.chars, audit=audit)
         run.timings_ms["module"] = (clock() - t0) * 1000.0
-        if cache_dir is not None:
-            try:
-                _save_cache(cache_dir, name, run.module)
-            except OSError as exc:
-                # the module is built and certified: only the entry is lost
-                print(f"cache not written: {exc}", file=sys.stderr)
 
         t0 = clock()
         eye = np.eye(run.module.rank, dtype=np.int64)
@@ -130,46 +120,6 @@ def run_pipeline(type_string: str, *, max_weyl_order: int = cartan.DEFAULT_WEYL_
         run.failure = {"name": "internal-defect", "pass": False,
                        "witness": {"error": str(exc)}}
     return run
-
-
-# --- cache -------------------------------------------------------------------
-
-def resolve_cache_dir(flag_value: str | None) -> Path:
-    """Flag, then HODGKIN_CACHE_DIR, then the home cache directory."""
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get("HODGKIN_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "hodgkin"
-
-
-def _checksum(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _save_cache(cache_dir: Path, name: str, module: flagk.FlagKModule) -> None:
-    payload = {
-        "format_version": torring.FORMAT_VERSION,
-        "cartan_type": name,
-        "basis_weights": [list(w) for w in module.basis_weights],
-        "basis_source": module.basis_source,
-        "gram": [[int(x) for x in row] for row in module.gram],
-        "mult_matrices": [[[int(x) for x in row] for row in m]
-                          for m in module.mult_matrices],
-    }
-    payload["checksum"] = _checksum(payload)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    # write beside the entry, then rename over it: a reader sees the old
-    # entry or the new one, never a partial file
-    target = cache_dir / f"{name}.json"
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 # --- report emission ---------------------------------------------------------
@@ -233,8 +183,7 @@ def cmd_compute(args) -> int:
     # checked before the run, so a bad path does not cost the report
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         raise UsageError(f"--out: {args.out} is not a file in an existing directory")
-    run = run_pipeline(args.type, max_weyl_order=args.max_weyl_order,
-                       cache_dir=resolve_cache_dir(args.cache_dir))
+    run = run_pipeline(args.type, max_weyl_order=args.max_weyl_order)
     checks = [c.to_dict() for c in verify.fast_checks(run)] \
         if run.module is not None else []
     if run.failure is not None:
@@ -245,8 +194,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    run = run_pipeline(args.type, max_weyl_order=args.max_weyl_order,
-                       cache_dir=resolve_cache_dir(args.cache_dir))
+    run = run_pipeline(args.type, max_weyl_order=args.max_weyl_order)
     checks = []
     if run.module is not None:
         checks += verify.fast_checks(run)
@@ -284,8 +232,6 @@ def cmd_list_types(_args) -> int:
     # "E7 needs 2903040, E8 696729600"
     print(f"Default Weyl-order guard: {guard}"
           f" (raise with --max-weyl-order; {needs.replace(' ', ' needs ', 1)})")
-    print("Cache directory: --cache-dir flag, else HODGKIN_CACHE_DIR,"
-          " else ~/.cache/hodgkin")
     return 0
 
 
@@ -305,7 +251,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--type", required=True, help="Cartan type, e.g. A2 or A2xA1")
         p.add_argument("--max-weyl-order", type=int, default=cartan.DEFAULT_WEYL_GUARD)
-        p.add_argument("--cache-dir", default=None)
 
     compute = sub.add_parser("compute", help="run the pipeline and emit a report")
     common(compute)

@@ -246,8 +246,8 @@ def build_module(datum: RootDatum, weyl: WeylGroup, chars: CharacterSet,
                  *, audit: bool = True) -> FlagKModule:
     """Assemble the free model and certify its structure.
 
-    The basis is always the sorted Steinberg weights; nothing is read
-    from a cache.  Always certified: the Gram determinant is +-1 and the
+    The basis is always the sorted Steinberg weights, and nothing is
+    cached.  Always certified: the Gram determinant is +-1 and the
     inverse is exact (else ``gram-unimodular`` fails, with the
     determinant as witness); each multiplication matrix composed with
     its inverse gives the identity, a product that takes M_i^-1's unit

@@ -39,34 +39,34 @@ VERIFY_FULL = {
 }
 
 
-def _stdout_digest(argv, tmp_path, capsys) -> str:
-    code = cli.main(argv + ["--cache-dir", str(tmp_path)])
+def _stdout_digest(argv, capsys) -> str:
+    code = cli.main(argv)
     out = capsys.readouterr().out
     assert code == 0, argv
     return hashlib.sha256(out.encode()).hexdigest()
 
 
-def test_compute_json_reports_are_pinned(tmp_path, capsys):
+def test_compute_json_reports_are_pinned(capsys):
     for name, digest in COMPUTE_JSON.items():
         argv = ["compute", "--type", name, "--no-timings", "--format", "json"]
-        assert _stdout_digest(argv, tmp_path, capsys) == digest, name
+        assert _stdout_digest(argv, capsys) == digest, name
 
 
-def test_verify_full_tables_are_pinned(tmp_path, capsys):
+def test_verify_full_tables_are_pinned(capsys):
     for name, digest in VERIFY_FULL.items():
         argv = ["verify", "--type", name, "--level", "full"]
-        assert _stdout_digest(argv, tmp_path, capsys) == digest, name
+        assert _stdout_digest(argv, capsys) == digest, name
 
 
-def test_d4_compute_json_report_is_pinned(pipeline, monkeypatch, tmp_path, capsys):
+def test_d4_compute_json_report_is_pinned(pipeline, monkeypatch, capsys):
     run = pipeline("D4")
     monkeypatch.setattr(cli, "run_pipeline", lambda *args, **kwargs: run)
     argv = ["compute", "--type", "D4", "--no-timings", "--format", "json"]
-    assert _stdout_digest(argv, tmp_path, capsys) == COMPUTE_JSON_D4
+    assert _stdout_digest(argv, capsys) == COMPUTE_JSON_D4
 
 
-def test_a4_verify_full_table_is_pinned(pipeline, monkeypatch, tmp_path, capsys):
+def test_a4_verify_full_table_is_pinned(pipeline, monkeypatch, capsys):
     run = pipeline("A4")
     monkeypatch.setattr(cli, "run_pipeline", lambda *args, **kwargs: run)
     argv = ["verify", "--type", "A4", "--level", "full"]
-    assert _stdout_digest(argv, tmp_path, capsys) == VERIFY_FULL_A4
+    assert _stdout_digest(argv, capsys) == VERIFY_FULL_A4
