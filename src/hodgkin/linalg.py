@@ -20,6 +20,10 @@ such group and take one plain product; only the wide rest is cut into
 digits narrow enough for the bound.  Consecutive digit products whose
 shifts lie within a few bits are summed in int64 before they reach an
 output held in Python integers, where each addition is a slow pass.
+The plan comes from the whole operands, but the products run over
+panels of the output's rows, so beside the operands, the output and
+the digits of the right factor a product holds only one panel's
+temporaries.
 
 Modular elimination (inverses and determinants over F_p) is one
 Gauss–Jordan kernel on float64, run in column panels.  Inside a panel
@@ -76,6 +80,10 @@ _LIMIT = 1 << 62
 
 # float64 represents every integer of absolute value up to 2^53.
 _FLOAT_EXACT_BITS = 53
+
+# Exact products run in panels of rows with about this many entries per
+# row operand or product, so their temporaries stay small.
+_PRODUCT_CELLS = 1 << 15
 
 # Modular elimination: with moduli below 2^20, a sum of 2^12 products of
 # residues stays below 2^52.  Panels are narrower than that.
@@ -205,35 +213,39 @@ def _inner_groups(a: np.ndarray, b: np.ndarray, amax: int, bmax: int):
 
 def _add_products(out: np.ndarray, a: np.ndarray, b: np.ndarray, groups) -> None:
     """out += a @ b over the inner index ``groups`` of (indices, plan), one
-    float64 product per pair of digits.
+    float64 product per pair of digits, in panels of rows of ``out``.
 
     Every product is an integer below 2^53 (the plans see to that).  A
     run of consecutive products whose shifts lie within a few bits of each
     other is summed in int64 first, while the sum provably stays below
     2^62; the run then costs one shift and add on ``out``, which is the
-    one pass in Python integers when ``out`` is dtype=object.
+    one pass in Python integers when ``out`` is dtype=object.  The digits
+    of ``b`` are cut once; a panel's rows of ``a`` and its products are
+    the only other temporaries, of at most about _PRODUCT_CELLS entries.
     """
-    run, base, top, count = None, 0, 0, 0
-    for cols, (na, wa, nb, wb) in groups:
-        b_digits = list(_digits(b[cols], wb, nb))
-        for i, da in enumerate(_digits(a[:, cols], wa, na)):
-            for j, db in enumerate(b_digits):
-                shift = wa * i + wb * j
-                lo, hi = min(base, shift), max(top, shift)
-                if run is not None and \
-                        (count + 1) << (_FLOAT_EXACT_BITS + hi - lo) >= _LIMIT:
-                    out += run.astype(out.dtype, copy=False) << base
-                    run = None
-                # every partial sum is an integer below 2^53: the cast is exact
-                part = (da @ db).astype(np.int64)
-                if run is None:
-                    run, base, top, count = part, shift, shift, 1
-                else:
-                    run <<= base - lo
-                    run += part << (shift - lo)
-                    base, top, count = lo, hi, count + 1
-    if run is not None:
-        out += run.astype(out.dtype, copy=False) << base
+    b_digits = [list(_digits(b[cols], wb, nb)) for cols, (_, _, nb, wb) in groups]
+    height = max(1, _PRODUCT_CELLS // max(a.shape[1], b.shape[1]))
+    for r in range(0, out.shape[0], height):
+        panel, run, base, top, count = out[r:r + height], None, 0, 0, 0
+        for (cols, (na, wa, _, wb)), digits in zip(groups, b_digits):
+            for i, da in enumerate(_digits(a[r:r + height, cols], wa, na)):
+                for j, db in enumerate(digits):
+                    shift = wa * i + wb * j
+                    lo, hi = min(base, shift), max(top, shift)
+                    if run is not None and \
+                            (count + 1) << (_FLOAT_EXACT_BITS + hi - lo) >= _LIMIT:
+                        panel += run.astype(out.dtype, copy=False) << base
+                        run = None
+                    # every partial sum is an integer below 2^53: the cast is exact
+                    part = (da @ db).astype(np.int64)
+                    if run is None:
+                        run, base, top, count = part, shift, shift, 1
+                    else:
+                        run <<= base - lo
+                        run += part << (shift - lo)
+                        base, top, count = lo, hi, count + 1
+        if run is not None:
+            panel += run.astype(out.dtype, copy=False) << base
 
 
 def dot_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -248,8 +260,12 @@ def dot_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the fewest products.  The grouping is used only when it takes fewer
     products than cutting the whole operands.  The products are shifted
     and added on the output alone: in int64 when the bound is below 2^62,
-    in Python integers otherwise.  The result is int64 when its entries
-    fit and dtype=object when they do not.
+    in Python integers otherwise.  They run over panels of the output's
+    rows, with the same plan for every panel, so the temporaries of a call
+    are the digits of ``b`` and a panel's rows of ``a`` and float64 and
+    int64 products, each of about _PRODUCT_CELLS entries, not products the
+    size of the output.  The result is int64 when its entries fit and
+    dtype=object when they do not.
     """
     a = as_int_array(a)
     b = as_int_array(b)
@@ -506,7 +522,8 @@ class SmithResult:
     V^-1 come along for free from the elementary-operation bookkeeping.
     Kernel data: the columns of ``v_inv[:, rank:]`` are a basis of
     ker(A), and ``(v @ x)[rank:]`` are the coordinates of a kernel vector
-    x in that basis.
+    x in that basis.  ``u`` and ``v_inv`` may be transposed, so
+    non-contiguous, views of the arrays the reduction updated.
     """
 
     diag: list[int]
@@ -568,11 +585,12 @@ class _Capped:
         support = lo + np.flatnonzero(m[src, lo:])
         if support.size == 0:
             return
+        row = m[src, support]
         if self.cap is not None:
-            self.grow(qmax * _maxabs(m[src, support]))
+            self.grow(qmax * _maxabs(row))
             m = self.lines(axis)
-        q = q.astype(m.dtype, copy=False)
-        m[np.ix_(dst, support)] -= np.outer(q, m[src, support])
+        q, row = q.astype(m.dtype, copy=False), row.astype(m.dtype, copy=False)
+        m[np.ix_(dst, support)] -= np.outer(q, row)
 
 
 class _Side:
@@ -601,13 +619,13 @@ class _Side:
         inv = self.inv
         ones = self.unit[dst]
         clean = ones >= 0
-        dirty = dst[~clean]
+        rows = inv.m[dst[~clean]]  # read once: the writes below go to row src alone
         if inv.cap is not None:
-            inv.grow(qsum * max(1, _maxabs(inv.m[dirty])))
-        q = q.astype(inv.m.dtype, copy=False)
+            inv.grow(qsum * max(1, _maxabs(rows)))
+        q, rows = q.astype(inv.m.dtype, copy=False), rows.astype(inv.m.dtype, copy=False)
         inv.m[src, ones[clean]] += q[clean]
-        if dirty.size:
-            inv.m[src] += q[~clean] @ inv.m[dirty]
+        if len(rows):
+            inv.m[src] += q[~clean] @ rows
         self.unit[src] = -1
 
 
@@ -687,7 +705,8 @@ def smith(a, *, _columns: bool = True) -> SmithResult:
     ``_columns=False`` is for a caller that reads only ``diag``, ``u`` and
     ``u_inv``: the column operations act on A alone, with the same pivots,
     and ``v`` and ``v_inv`` come back as their empty leading blocks
-    V[:0] and V^-1[:, :0].
+    V[:0] and V^-1[:, :0].  U and V^-1 are stored transposed while they
+    are built and come back as transposed views, not as copies.
     """
     a = as_int_array(np.atleast_2d(a))
     st = _Tracked(a, columns=_columns)
@@ -713,10 +732,10 @@ def smith(a, *, _columns: bool = True) -> SmithResult:
         v = np.zeros((0, a.shape[1]), dtype=np.int64)
         v_inv = v.T
     else:
-        v, v_inv = _shrink(cols.inv.m), _shrink(np.ascontiguousarray(cols.fwd.m.T))
+        v, v_inv = _shrink(cols.inv.m), _shrink(cols.fwd.m.T)
     return SmithResult(
         diag=[int(st.a.m[i, i]) for i in range(limit)],
-        u=_shrink(np.ascontiguousarray(rows.inv.m.T)),
+        u=_shrink(rows.inv.m.T),
         u_inv=_shrink(rows.fwd.m),
         v=v,
         v_inv=v_inv,

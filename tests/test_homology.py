@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 import weakref
 from math import comb
 
@@ -158,6 +159,19 @@ def test_certification_draws_no_random_numbers(pipeline, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", refuse)
     res = homology.homology_of(pipeline("A4").chain_complex)
     assert [h.betti for h in res] == [comb(4, p) for p in range(5)]
+
+
+def test_homology_of_a4_peak_allocation(pipeline):
+    # 33.8 MiB when dot_exact made its digit products over whole operands
+    # and smith copied U and V^-1 out of their transposes
+    cx = pipeline("A4").chain_complex
+    tracemalloc.start()
+    try:
+        homology.homology_of(cx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 << 20, peak / (1 << 20)
 
 
 def test_reducer_must_vanish_on_boundaries(pipeline, monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -255,6 +256,40 @@ def test_dot_exact_groups_wide_inner_indices(monkeypatch):
     _assert_matches_reference(x, y)
     _assert_matches_reference(y.T, x.T)
     assert counts == [1, 1]
+
+
+def test_dot_exact_runs_in_row_panels(monkeypatch):
+    # the shape of audit_smith's reconstruction of A4's d_3: U[:, :r] D with
+    # 45-bit entries by V[:r] with 6-bit ones, a 2 x 1 plan into int64.
+    # Over whole operands its digit temporaries took 18.0 MiB.
+    counts = _count_products(monkeypatch)
+    rng = np.random.default_rng(31)
+    a = rng.integers(-(1 << 45), 1 << 45, size=(720, 357))
+    b = rng.integers(-63, 64, size=(357, 480))
+    tracemalloc.start()
+    try:
+        got = linalg.dot_exact(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == [2] and got.dtype == np.int64
+    assert np.array_equal(got, a @ b)  # int64 matmul: exact below 2^62
+    assert peak <= got.nbytes + (4 << 20), peak / (1 << 20)
+    # rows around the panel edges, a 1-D left operand and no rows, with
+    # digit products into int64 (24 bits) and into Python integers (40 bits)
+    pyrng = random.Random(33)
+    k = 1 << 12
+    h = linalg._PRODUCT_CELLS // k
+    assert h == 8
+    for bits in (24, 40):
+        b = np.array([[pyrng.randint(-(1 << bits), 1 << bits) for _ in range(2)]
+                      for _ in range(k)], dtype=np.int64)
+        for rows in (1, h - 1, h, h + 1, 2 * h + 3, 0):
+            a = np.array([[pyrng.randint(-(1 << bits), 1 << bits) for _ in range(k)]
+                          for _ in range(rows)], dtype=np.int64).reshape(rows, k)
+            _assert_matches_reference(a, b)
+        _assert_matches_reference(b[:, 0], b)
+    assert len(counts) == 13 and min(counts) == 2  # no rows: no products
 
 
 def test_inverse_unimodular_roundtrip():
