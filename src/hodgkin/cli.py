@@ -110,7 +110,8 @@ def run_pipeline(type_string: str, *, max_weyl_order: int = cartan.DEFAULT_WEYL_
         run.timings_ms["homology"] = (clock() - t0) * 1000.0
 
         t0 = clock()
-        run.generators = torring.change_of_rings_generators(run.chars, run.module)
+        run.generators = torring.change_of_rings_generators(run.chars, run.module,
+                                                            run.chain_complex)
         run.certificate = torring.certify_exterior(run.module, run.homology,
                                                    run.generators)
         run.timings_ms["torring"] = (clock() - t0) * 1000.0

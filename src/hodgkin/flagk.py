@@ -250,8 +250,7 @@ def build_module(datum: RootDatum, weyl: WeylGroup, chars: CharacterSet,
     cached.  Always certified: the Gram determinant is +-1 and the
     inverse is exact (else ``gram-unimodular`` fails, with the
     determinant as witness); each multiplication matrix composed with
-    its inverse gives the identity, a product that takes M_i^-1's unit
-    columns with no arithmetic.  With ``audit=True``
+    its inverse gives the identity.  With ``audit=True``
     :func:`_audit_module` also certifies that the unit generates the
     module, that the M_i commute and that the module satisfies the
     defining relations of the quotient; :func:`homology.koszul_complex`
@@ -278,8 +277,7 @@ def build_module(datum: RootDatum, weyl: WeylGroup, chars: CharacterSet,
         neg = tuple(-int(j == i) for j in range(n))
         m_i = module.monomial_operator(step)
         m_i_inv = module.monomial_operator(neg)
-        if not np.array_equal(linalg.dot_unit_columns(m_i, m_i_inv),
-                              np.eye(m, dtype=np.int64)):
+        if not np.array_equal(linalg.dot_exact(m_i, m_i_inv), np.eye(m, dtype=np.int64)):
             raise CertificationError("mult-matrix-invertible", witness={"generator": i})
         mult.append(m_i)
         mult_inv.append(m_i_inv)
@@ -300,10 +298,7 @@ def _audit_module(module: FlagKModule) -> None:
        is the pipeline's one commutativity check; it is what makes the
        Koszul complex of the M_i - I a complex, and
        :func:`homology.homology_of` meets d∘d = 0 again, exactly, as a
-       by-product of its reduction.  Each product copies the columns of
-       its left factor that the right factor's unit columns select
-       (:func:`linalg.dot_unit_columns`); a third to a half of each M_i's
-       columns are unit vectors.
+       by-product of its reduction.
     3. Each relation P(M) = 0 of the quotient is checked on u alone:
        ``character-relation`` chi_j(M) u = dim_j u for every fundamental
        character, and ``augmentation-nilpotent`` (M_i - I)^N u = 0 with
@@ -324,8 +319,8 @@ def _audit_module(module: FlagKModule) -> None:
 
     for i in range(datum.rank):
         for j in range(i + 1, datum.rank):
-            ab = linalg.dot_unit_columns(module.mult_matrices[i], module.mult_matrices[j])
-            ba = linalg.dot_unit_columns(module.mult_matrices[j], module.mult_matrices[i])
+            ab = linalg.dot_exact(module.mult_matrices[i], module.mult_matrices[j])
+            ba = linalg.dot_exact(module.mult_matrices[j], module.mult_matrices[i])
             if not np.array_equal(ab, ba):
                 raise CertificationError("mult-matrices-commute",
                                          witness={"generators": (i, j)})

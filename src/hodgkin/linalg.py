@@ -37,9 +37,7 @@ Every exact determinant and every exact inverse goes through that one
 kernel.  A determinant is its residues modulo enough primes below 2^20,
 each lifted into the last by one CRT step and read off as the symmetric
 representative.  An inverse is one modular inverse, lifted p-adically
-with one float64 product per step.  A product whose right factor has
-unit columns, as the flag module's multiplication operators do, copies
-those columns of the left factor instead of computing them.
+with one float64 product per step.
 
 The Smith normal form keeps four transforms (U, U^-1, V, V^-1 with
 A = U D V) because downstream homology needs kernels *and* kernel
@@ -64,7 +62,7 @@ random numbers.
 
 The row Hermite form runs on the same line operations and the Smith
 form's column step, on the rows alone, so it co-tracks its inverse
-transform too and never makes the column side.
+transform too and has no column side.
 """
 
 from __future__ import annotations
@@ -284,29 +282,6 @@ def dot_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         _add_products(out, a2, b2, _inner_groups(a2, b2, amax, bmax))
     out = _shrink(out).reshape(a.shape[:-1] + b.shape[1:])
     return out if out.ndim else out[()]
-
-
-def dot_unit_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``dot_exact(a, b)`` for a 2-D ``b`` whose unit columns take no
-    arithmetic.
-
-    A column of b with one nonzero entry, a 1 in row c, makes that column
-    of a @ b column c of a.  Those columns are copied; only the others go
-    through :func:`dot_exact`.  The result has the value and the dtype
-    that ``dot_exact(a, b)`` gives.
-    """
-    a, b = as_int_array(a), as_int_array(b)
-    nonzero = b != 0
-    rows = np.argmax(nonzero, axis=0)
-    unit = (np.count_nonzero(nonzero, axis=0) == 1) & (b[rows, np.arange(b.shape[1])] == 1)
-    rest = np.flatnonzero(~unit)
-    solved = dot_exact(a, b[:, rest])
-    copied = a[:, rows[unit]]
-    wide = object in (a.dtype, solved.dtype) or _maxabs(copied) >= _LIMIT
-    out = np.empty((a.shape[0], b.shape[1]), dtype=object if wide else np.int64)
-    out[:, unit] = copied
-    out[:, rest] = solved
-    return _shrink(out)
 
 
 # --- primes and CRT ---------------------------------------------------------
@@ -637,21 +612,15 @@ class _Tracked:
     :meth:`negate` acts on a row.  Each matrix keeps its own int64 cap and
     escalates alone.  The arithmetic is exact in any layout, so the stored
     entries do not depend on it or on which entries an update skips
-    because they provably do not change.  The column side is made at the
-    first column operation (:meth:`side`), so a reduction by rows alone,
-    like :func:`hermite_rows`, has none; with ``columns=False`` it is
-    never made, and column operations act on A alone.
+    because they provably do not change.  With ``columns=False`` there is
+    no column side, and column operations act on A alone.
     """
 
-    def __init__(self, a: np.ndarray, columns: bool = True):
+    def __init__(self, a: np.ndarray, columns: bool):
         self.a = _Capped(a.copy())
         self.sides = [_Side(a.shape[0])]
-        self.columns = columns
-
-    def side(self, axis: int) -> _Side | None:
-        if axis == len(self.sides) and self.columns:
-            self.sides.append(_Side(self.a.m.shape[1]))
-        return self.sides[axis] if axis < len(self.sides) else None
+        if columns:
+            self.sides.append(_Side(a.shape[1]))
 
     def axpy(self, axis: int, dst, src: int, qvec, lo: int = 0) -> None:
         """Lines dst[i] -= qvec[i] * line src, on A from entry lo on.
@@ -665,15 +634,14 @@ class _Tracked:
             return
         dst = np.asarray(dst, dtype=np.intp)
         self.a.sub(axis, dst, src, qarr, qmax, lo)
-        side = self.side(axis)
-        if side is not None:
-            side.axpy(dst, src, qarr, qmax, qsum)
+        if axis < len(self.sides):
+            self.sides[axis].axpy(dst, src, qarr, qmax, qsum)
 
     def swap(self, axis: int, i: int, j: int) -> None:
         if i != j:
-            side = self.side(axis)
             lines = [self.a.lines(axis)]
-            if side is not None:
+            if axis < len(self.sides):
+                side = self.sides[axis]
                 lines += [side.fwd.m, side.inv.m, side.unit]
             for m in lines:
                 m[[i, j]] = m[[j, i]]
@@ -727,12 +695,12 @@ def smith(a, *, _columns: bool = True) -> SmithResult:
             if bad is None:
                 break
             st.axpy(0, [t], bad, [-1], lo=t)
-    rows, cols = st.sides[0], st.side(1)  # V = I when no column operation ran
-    if cols is None:
+    rows = st.sides[0]
+    if _columns:
+        v, v_inv = _shrink(st.sides[1].inv.m), _shrink(st.sides[1].fwd.m.T)
+    else:
         v = np.zeros((0, a.shape[1]), dtype=np.int64)
         v_inv = v.T
-    else:
-        v, v_inv = _shrink(cols.inv.m), _shrink(cols.fwd.m.T)
     return SmithResult(
         diag=[int(st.a.m[i, i]) for i in range(limit)],
         u=_shrink(rows.inv.m.T),
@@ -832,7 +800,7 @@ def hermite_rows(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     a = as_int_array(a)
     rows, cols = a.shape
-    st = _Tracked(a)
+    st = _Tracked(a, columns=False)
     t = 0
     for c in range(cols):
         if t == rows:

@@ -99,19 +99,19 @@ def chain_product(a: TorClass, b: TorClass, module: FlagKModule) -> TorClass:
     return TorClass(degree=deg, chain=linalg._shrink(out))
 
 
-def change_of_rings_generators(chars: CharacterSet,
-                               module: FlagKModule) -> tuple[TorClass, ...]:
+def change_of_rings_generators(chars: CharacterSet, module: FlagKModule,
+                               cx: homology.ChainComplex) -> tuple[TorClass, ...]:
     """One degree-1 cycle per fundamental character.
 
     Each relator (character minus its dimension) has augmentation zero
     and decomposes as ``sum_j c_j (t_j - 1)``; the blocks coords(c_j)
     assemble a 1-chain whose boundary is the relator's class — zero in
     the quotient because the character acts as its dimension.  That
-    boundary is recomputed here and must vanish exactly.
+    boundary is taken with d_1 of ``cx``, the module's Koszul complex,
+    and must vanish exactly.
     """
     n = module.datum.rank
     m = module.rank
-    eye = np.eye(m, dtype=np.int64)
     out = []
     for i, relator in enumerate(chars.relators):
         cofactors = laurent.decompose_augmentation_ideal(relator)
@@ -119,12 +119,7 @@ def change_of_rings_generators(chars: CharacterSet,
         for j, cof in enumerate(cofactors):
             chain[j * m:(j + 1) * m] = module.coords(cof).astype(object)
         chain = linalg._shrink(chain)
-        boundary = np.zeros(m, dtype=object)
-        for j in range(n):
-            step = linalg.dot_exact(module.mult_matrices[j] - eye,
-                                    chain[j * m:(j + 1) * m])
-            boundary += step.astype(object)
-        if np.any(boundary):
+        if np.any(linalg.dot_exact(cx.boundary(1), chain)):
             raise DefectError(f"relator {i} fails the cycle condition")
         out.append(TorClass(degree=1, chain=chain))
     return tuple(out)

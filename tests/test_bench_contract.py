@@ -34,7 +34,8 @@ def _child(spec: dict) -> dict:
 
 @pytest.fixture(scope="module")
 def cache_dir(tmp_path_factory):
-    """One cache for the module: the warm run reads what cold wrote."""
+    """The directory each child's spec names as ``cache_dir``.  Nothing is
+    cached: ``run_pipeline`` ignores it."""
     return tmp_path_factory.mktemp("bench-cache")
 
 

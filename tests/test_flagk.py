@@ -224,13 +224,35 @@ def test_repeated_steinberg_weight_fails_gram_certificate(monkeypatch):
     assert info.value.witness == {"determinant": 0}
 
 
+def test_moved_unit_column_fails_invertibility(monkeypatch):
+    datum = cartan.build_root_datum(cartan.parse_type("B2"))
+    weyl = cartan.generate_weyl(datum)
+    chars = laurent.fundamental_characters(datum, weyl)
+    honest = flagk.FlagKModule.monomial_operator
+
+    def moved(self, exps):
+        op = honest(self, exps)
+        if exps == (-1, 0):  # M_0^-1: move the 1 of its first unit column
+            nonzero = np.count_nonzero(op, axis=0)
+            b = next(b for b in range(self.rank) if nonzero[b] == 1 and op[:, b].sum() == 1)
+            c = int(np.argmax(op[:, b]))
+            op[c, b], op[(c + 1) % self.rank, b] = 0, 1
+        return op
+
+    monkeypatch.setattr(flagk.FlagKModule, "monomial_operator", moved)
+    with pytest.raises(CertificationError) as info:
+        flagk.build_module(datum, weyl, chars)
+    assert info.value.check == "mult-matrix-invertible"
+    assert info.value.witness == {"generator": 0}
+
+
 def _audit_failure(module):
     with pytest.raises(CertificationError) as info:
         flagk._audit_module(module)
     return info.value.check, info.value.witness
 
 
-def test_audit_rejects_corrupted_copies(pipeline):
+def test_audit_rejects_corrupted_copies(pipeline, monkeypatch):
     module = pipeline("B2").module
     flagk._audit_module(module)  # the honest module passes
     # basis weight (1, -2) is reached through column 2 of M_0, since u = e_2
@@ -252,6 +274,9 @@ def test_audit_rejects_corrupted_copies(pipeline):
                                 + module.chars.dims[1:])
     copy = dataclasses.replace(module, chars=chars)
     assert _audit_failure(copy) == ("character-relation", {"fundamental": 0})
+    # no positive roots make the nilpotence bound 1, and M_0 - I is not zero
+    monkeypatch.setattr(cartan, "positive_roots", lambda datum: ())
+    assert _audit_failure(module) == ("augmentation-nilpotent", {"generator": 0, "bound": 1})
 
 
 @pytest.fixture

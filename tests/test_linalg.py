@@ -370,44 +370,6 @@ def test_inverse_unimodular_rejects_a_wrong_modular_inverse(monkeypatch):
         linalg.inverse_unimodular(a)
 
 
-def _operator_with_units(rng, m, units, entries):
-    """An m x m matrix whose columns ``units`` are unit vectors e_c and
-    whose other columns hold ``entries``, a function of the shape."""
-    b = entries((m, m))
-    for col in units:
-        b[:, col] = 0
-        b[rng.integers(m), col] = 1
-    return b
-
-
-def test_unit_column_product_matches_dot_exact():
-    rng = np.random.default_rng(11)
-    m = 9
-    small = lambda shape: rng.integers(-5, 6, size=shape)  # noqa: E731
-    huge = lambda shape: np.array(  # noqa: E731
-        [int(x) << 70 for x in rng.integers(-5, 6, size=shape).flat],
-        dtype=object).reshape(shape)
-    edge = lambda shape: rng.choice([(1 << 62) + 1, -(1 << 62), 3], size=shape)  # noqa: E731
-    cases = []
-    for units in (range(m), [0, 3, 4, 8], []):
-        for left in (small, huge, edge):
-            for right in (small, huge):
-                cases.append((left((m, m)), _operator_with_units(rng, m, units, right)))
-    # a zero column and a lone -1 or 2 are no unit columns, in int64 or object
-    b = _operator_with_units(rng, m, [1, 2], small)
-    b[:, 5] = 0
-    b[:, 6] = 0
-    b[2, 6] = -1
-    b[:, 7] = 0
-    b[4, 7] = 2
-    cases.append((small((m, m)), b))
-    cases.append((small((m, m)).astype(object), b.astype(object)))
-    for a, b in cases:
-        got, want = linalg.dot_unit_columns(a, b), linalg.dot_exact(a, b)
-        assert got.dtype == want.dtype
-        assert got.tolist() == want.tolist()
-
-
 def test_smith_goldens():
     sm = linalg.smith(np.array([[2, 0], [0, 3]]))
     assert [d for d in sm.diag if d] == [1, 6]
@@ -423,6 +385,35 @@ def test_smith_empty_shapes():
         assert sm.rank == 0
         assert sm.u.shape == (shape[0], shape[0])
         assert sm.v.shape == (shape[1], shape[1])
+
+
+def test_smith_without_columns_makes_one_side(monkeypatch):
+    # _columns=False makes no column side, and U, U^-1 and D are unchanged
+    made = []
+    init = linalg._Side.__init__
+
+    def counted(self, n):
+        made.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(linalg._Side, "__init__", counted)
+    rng = np.random.default_rng(8)
+    cases = [np.zeros(shape, dtype=np.int64) for shape in ((0, 4), (4, 0), (0, 0), (3, 2))]
+    cases += [rng.integers(-9, 10, size=(5, 7)), rng.integers(-9, 10, size=(6, 1)),
+              rng.integers(-20, 21, size=(6, 6)) * 10 ** 14]
+    for a in cases:
+        rows, cols = a.shape
+        made.clear()
+        full = linalg.smith(a)
+        assert made == [rows, cols]
+        made.clear()
+        part = linalg.smith(a, _columns=False)
+        assert made == [rows]
+        assert part.diag == full.diag
+        for name in ("u", "u_inv"):
+            got, want = getattr(part, name), getattr(full, name)
+            assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
+        assert (part.v.shape, part.v_inv.shape) == ((0, cols), (cols, 0))
 
 
 def test_smith_reconstruction_and_divisibility_random():
