@@ -9,8 +9,10 @@ still emitted, with witnesses), 3 a resource guard tripped.
 Reports are deterministic: identical inputs give byte-identical JSON,
 with timings excluded from that contract via ``--no-timings``.
 
-Nothing is cached: every run builds and certifies its module afresh,
-and no command writes a file other than the ``--out`` report.
+Nothing is cached: every run builds and audits its module afresh, and
+no command writes a file other than the ``--out`` report.
+:func:`run_pipeline` ignores its ``audit`` and ``cache_dir`` keywords;
+both go once ``perfbench/child.py`` stops passing them.
 
 Where each fact is checked, once: the Gram determinant and inverse and
 M_i M_i^-1 = I in :func:`flagk.build_module`; that the unit generates,
@@ -73,9 +75,10 @@ def run_pipeline(type_string: str, *, max_weyl_order: int = cartan.DEFAULT_WEYL_
     yet); the Weyl-order guard is checked on the parsed type, before
     anything is built.  Certification failures after that are captured
     on the run so the caller can still emit a report with the witness.
-    ``audit`` governs only the flag module's audit; the homology is
-    always certified.  ``cache_dir`` is ignored: nothing is cached, and
-    the keyword goes once ``perfbench/child.py`` stops passing it.
+    The module is always audited, so no certified report rests on an
+    unaudited module.  ``audit`` and ``cache_dir`` are ignored: nothing
+    is cached, and both keywords go once ``perfbench/child.py`` stops
+    passing them.
     """
     ctype = cartan.parse_type(type_string)
     cartan.guarded_weyl_order(ctype, max_weyl_order)
@@ -96,7 +99,7 @@ def run_pipeline(type_string: str, *, max_weyl_order: int = cartan.DEFAULT_WEYL_
         run.timings_ms["characters"] = (clock() - t0) * 1000.0
 
         t0 = clock()
-        run.module = flagk.build_module(datum, run.weyl, run.chars, audit=audit)
+        run.module = flagk.build_module(datum, run.weyl, run.chars)
         run.timings_ms["module"] = (clock() - t0) * 1000.0
 
         t0 = clock()

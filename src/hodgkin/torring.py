@@ -140,7 +140,10 @@ def certify_exterior(module: FlagKModule, homres: tuple[DegreeHomology, ...],
     anticommute (element-wise on chains); each degree p is torsion-free
     of rank (n choose p); the C(n, p) ordered generator products of
     degree p, reduced to homology coordinates in one call, form a square
-    matrix of determinant +-1.
+    matrix of determinant +-1.  Degree 0 is the unit and degree 1 the
+    generators themselves: ``module`` must have passed
+    :func:`flagk._audit_module`, whose ``unit-generates`` check proves
+    u x = x through the walk that :meth:`FlagKModule.products` uses.
     """
     n = module.datum.rank
 
@@ -150,6 +153,7 @@ def certify_exterior(module: FlagKModule, homres: tuple[DegreeHomology, ...],
             raise CertificationError("generator-square-zero",
                                      witness={"generator": i})
     classes: dict[tuple[int, ...], TorClass] = {(): TorClass(0, module.unit_coords)}
+    classes.update(((i,), gen) for i, gen in enumerate(generators))
     for i in range(n):
         for j in range(i + 1, n):
             ij = chain_product(generators[i], generators[j], module)
@@ -166,10 +170,6 @@ def certify_exterior(module: FlagKModule, homres: tuple[DegreeHomology, ...],
             if subset not in classes:
                 classes[subset] = chain_product(classes[subset[:-1]],
                                                 generators[subset[-1]], module)
-            # the degree-2 classes above were taken on the generators themselves
-            if p == 1 and not np.array_equal(classes[subset].chain,
-                                             generators[subset[0]].chain):
-                raise DefectError(f"the unit does not fix generator {subset[0]}")
             chains.append(classes[subset].chain)
         h = homres[p]
         if h.torsion:

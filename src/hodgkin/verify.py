@@ -225,20 +225,6 @@ def check_pairing_routes(datum, weyl, seed: int = DEFAULT_SEED) -> CheckResult:
     return _guard("pairing-route-agreement", body)
 
 
-def check_character_dimensions(datum, chars) -> CheckResult:
-    """Character augmentations equal the dimension formula's values."""
-    def body():
-        n = datum.rank
-        for i, chi in enumerate(chars.chars):
-            omega = tuple(int(j == i) for j in range(n))
-            expected = laurent.weyl_dimension(datum, omega)
-            got = laurent.augmentation(chi)
-            if got != expected or chars.dims[i] != expected:
-                raise AssertionError(f"character {i}: {got} vs {expected}")
-        return {"characters": n}
-    return _guard("character-dimension-formula", body)
-
-
 def check_smith_random(seed: int = DEFAULT_SEED) -> CheckResult:
     """Smith decompositions on random shapes, audited exactly; includes
     zero, empty, and deliberately oversized-entry matrices."""
@@ -344,7 +330,6 @@ def property_checks(run, seed: int = DEFAULT_SEED) -> list[CheckResult]:
         checks.append(check_word_independence(datum, weyl, seed=seed))
     checks.append(check_decompose_roundtrip(datum.rank, seed=seed))
     checks.append(check_pairing_routes(datum, weyl, seed=seed))
-    checks.append(check_character_dimensions(datum, run.chars))
     checks.append(check_smith_random(seed=seed))
     checks.append(check_boundary_squares(run.chain_complex))
     checks.append(check_ext_mirror(run.chain_complex, run.homology))

@@ -104,8 +104,7 @@ def test_criterion_7_property_suites(pipeline):
         run = pipeline(name)
         results = verify.check_demazure_properties(run.datum)
         demazure_witnesses += [r.witness for r in results]
-        results += [verify.check_character_dimensions(run.datum, run.chars),
-                    verify.check_boundary_squares(run.chain_complex)]
+        results.append(verify.check_boundary_squares(run.chain_complex))
         if run.datum.rank <= 3:
             results.append(verify.check_word_independence(run.datum, run.weyl))
             results.append(verify.check_pairing_routes(run.datum, run.weyl))

@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from hodgkin import cartan, cli, torring
-from hodgkin.errors import CertificationError
+from hodgkin import cartan, cli, flagk, homology, torring
+from hodgkin.errors import CertificationError, DefectError
 
 
 def _run(argv, capsys):
@@ -139,6 +139,35 @@ def test_certification_failure_exits_two(capsys, monkeypatch):
     failures = [c for c in report["checks"] if not c["pass"]]
     assert failures == [{"name": "generator-square-zero", "pass": False,
                          "witness": {"generator": 0}}]
+
+
+def test_internal_defect_exits_two(capsys, monkeypatch):
+    def sabotage(*args):
+        raise DefectError("boom")
+    monkeypatch.setattr(homology, "homology_of", sabotage)
+    defect = {"name": "internal-defect", "pass": False, "witness": {"error": "boom"}}
+    assert cli.run_pipeline("A1").failure == defect
+    code, out, _ = _run(["compute", "--type", "A1", "--no-timings"], capsys)
+    assert code == 2
+    report = json.loads(out)
+    assert report["exterior_certified"] is False
+    assert report["checks"][-1] == defect
+    assert [c for c in report["checks"] if not c["pass"]] == [defect]
+
+
+def test_run_pipeline_always_audits_the_module(monkeypatch):
+    original = flagk._audit_module
+    audited = []
+
+    def counted(module):
+        audited.append(module)
+        original(module)
+
+    monkeypatch.setattr(flagk, "_audit_module", counted)
+    run = cli.run_pipeline("A2", audit=False)
+    assert audited == [run.module]
+    assert run.failure is None
+    assert run.certificate is not None
 
 
 def test_verify_fast_table(capsys):

@@ -200,6 +200,19 @@ def test_reducer_must_vanish_on_boundaries(pipeline, monkeypatch):
         homology.homology_of(cx)
 
 
+def test_reducer_must_be_a_retraction(pipeline, monkeypatch):
+    cx = pipeline("A2").chain_complex
+    original = homology._canonical_free_basis
+
+    def tampered(basis, reducer):
+        basis, reducer = original(basis, reducer)
+        return basis, reducer + reducer
+
+    monkeypatch.setattr(homology, "_canonical_free_basis", tampered)
+    with pytest.raises(DefectError, match="^reduction is not a retraction at degree 0$"):
+        homology.homology_of(cx)
+
+
 def test_torsion_must_match_the_boundary_factors(monkeypatch):
     # the relations' Smith form is not audited: a wrong invariant factor
     # there passes every per-degree check and is caught against d_1's

@@ -25,17 +25,17 @@ COMPUTE_JSON = {
 COMPUTE_JSON_D4 = "1e232392fee461a9fe73471b41cd9f4a1c0d97b075fe63329f092f4a81554a5e"
 
 # so is A4's full verify table, where the canonical bases carry object entries
-VERIFY_FULL_A4 = "1593ebd366646564cbc3668ba43efd5bbbedbbc190689d8026e2088ec27e48f9"
+VERIFY_FULL_A4 = "0c01b192992141441ea41e4409d423b601c143b67e445b847b2fd514a1d561b5"
 
 VERIFY_FULL = {
-    "A1": "dc64a9164e0d675a1d8ca276d15a18bacabbf32d2a4abad9fa00e0188ec3fd65",
-    "A1xA1": "e93e49f273a4a53559f11e9d62aaccf0acad8d9aeded55c0c615b4520bd56c18",
-    "A2": "e93e49f273a4a53559f11e9d62aaccf0acad8d9aeded55c0c615b4520bd56c18",
-    "A3": "ca95a6a09c7678f434ebc4b888979dc3877918f60178c989f25d1de3d45e62f9",
-    "B2": "e93e49f273a4a53559f11e9d62aaccf0acad8d9aeded55c0c615b4520bd56c18",
-    "B3": "ca95a6a09c7678f434ebc4b888979dc3877918f60178c989f25d1de3d45e62f9",
-    "C3": "ca95a6a09c7678f434ebc4b888979dc3877918f60178c989f25d1de3d45e62f9",
-    "G2": "e93e49f273a4a53559f11e9d62aaccf0acad8d9aeded55c0c615b4520bd56c18",
+    "A1": "79a0d91d3f8f5cb7ac2b70f40349954c83ea16472fc15b5028c1592f3119dbe8",
+    "A1xA1": "011e6730b1750357317b0efe5d78928528d72784ff343ccbba2030b83edccd72",
+    "A2": "011e6730b1750357317b0efe5d78928528d72784ff343ccbba2030b83edccd72",
+    "A3": "b8f11dc757b557e2f2497076c6f8b86dc239d76b5b5282dce1369652b9259293",
+    "B2": "011e6730b1750357317b0efe5d78928528d72784ff343ccbba2030b83edccd72",
+    "B3": "b8f11dc757b557e2f2497076c6f8b86dc239d76b5b5282dce1369652b9259293",
+    "C3": "b8f11dc757b557e2f2497076c6f8b86dc239d76b5b5282dce1369652b9259293",
+    "G2": "011e6730b1750357317b0efe5d78928528d72784ff343ccbba2030b83edccd72",
 }
 
 

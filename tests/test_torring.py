@@ -1,10 +1,11 @@
 import json
+from math import comb
 
 import numpy as np
 import pytest
 
-from hodgkin import torring
-from hodgkin.errors import CertificationError
+from hodgkin import laurent, torring
+from hodgkin.errors import CertificationError, DefectError
 
 # change-of-basis determinants frozen from the first certified builds
 EXPECTED_DETS = {
@@ -109,6 +110,57 @@ def test_certify_rejects_degenerate_generators(pipeline):
         torring.certify_exterior(run.module, run.homology, (g0, g0))
     assert info.value.check == "exterior-change-of-basis"
     assert "determinant" in info.value.witness
+
+
+def test_flipped_product_fails_anticommutation(pipeline, monkeypatch):
+    run = pipeline("A2")
+    g0, g1 = run.generators
+    original = torring.chain_product
+
+    def tampered(a, b, module):
+        prod = original(a, b, module)
+        if a is g1 and b is g0:
+            return torring.TorClass(prod.degree, -prod.chain)
+        return prod
+
+    monkeypatch.setattr(torring, "chain_product", tampered)
+    with pytest.raises(CertificationError) as info:
+        torring.certify_exterior(run.module, run.homology, run.generators)
+    assert info.value.check == "generator-anticommute"
+    assert info.value.witness == {"pair": (0, 1)}
+
+
+def test_certificate_takes_degree_one_from_the_generators(pipeline, monkeypatch):
+    # n squares, n (n - 1) ordered pairs, one product per class of degree >= 3;
+    # no unit products: the module audit's unit-generates check covers them
+    run = pipeline("A4")
+    n = run.datum.rank
+    original = torring.chain_product
+    calls = []
+
+    def counted(a, b, module):
+        calls.append((a.degree, b.degree))
+        return original(a, b, module)
+
+    monkeypatch.setattr(torring, "chain_product", counted)
+    cert = torring.certify_exterior(run.module, run.homology, run.generators)
+    assert cert.dets == run.certificate.dets
+    higher = sum(comb(n, p) for p in range(3, n + 1))
+    assert len(calls) == n + n * (n - 1) + higher == 21
+    assert (0, 1) not in calls
+
+
+def test_relator_cofactors_must_give_a_cycle(pipeline, monkeypatch):
+    run = pipeline("A2")
+    original = laurent.decompose_augmentation_ideal
+
+    def tampered(f):
+        cofactors = original(f)
+        return (cofactors[0] + cofactors[0],) + cofactors[1:]
+
+    monkeypatch.setattr(laurent, "decompose_augmentation_ideal", tampered)
+    with pytest.raises(DefectError, match="^relator 0 fails the cycle condition$"):
+        torring.change_of_rings_generators(run.chars, run.module, run.chain_complex)
 
 
 def test_report_assembly(pipeline):
