@@ -20,6 +20,8 @@ such group and take one plain product; only the wide rest is cut into
 digits narrow enough for the bound.  Consecutive digit products whose
 shifts lie within a few bits are summed in int64 before they reach an
 output held in Python integers, where each addition is a slow pass.
+Every output entry is a partial sum as well, so the output is int64
+when the powers of two that bound the terms sum below 2^62.
 The plan comes from the whole operands, but the products run over
 panels of the output's rows, so beside the operands, the output and
 the digits of the right factor a product holds only one panel's
@@ -49,16 +51,17 @@ The first of a pair takes the same line operation as A or A^T, the
 second is its inverse transpose, and both are stored so that every
 update runs over contiguous rows.  Rows of the second that are still
 rows of the identity are known by the column of their 1, so adding them
-is a scatter rather than a product, and every other update skips the
-columns where its source is zero.  The pivot policy, and with it every
-transform entry, is independent of that storage and of which provably
-unchanged entries an update skips.  The pivot is the entry of least
-nonzero magnitude, first in row-major order.  While a +-1 remains, that
-is the first +-1 of the first row holding one, so the search scans the
-rows from the top and stops there; only a submatrix with no unit left
-is searched whole.  :func:`audit_smith` certifies a Smith form, or its
-leading blocks, by exact products at every size; nothing here draws
-random numbers.
+is a scatter rather than a product.  Every other update runs on the
+contiguous slab of columns that its source's nonzeros span, or, when
+they fill too little of it, on those columns alone, by index.  The
+pivot policy, and with it every transform entry, is independent of that
+storage and of which provably unchanged entries an update skips or
+rewrites.  The pivot is the entry of least nonzero magnitude, first in
+row-major order.  While a +-1 remains, that is the first +-1 of the
+first row holding one, so the search scans the rows from the top and
+stops there; only a submatrix with no unit left is searched whole.
+:func:`audit_smith` certifies a Smith form, or its leading blocks, by
+exact products at every size; nothing here draws random numbers.
 
 The row Hermite form runs on the same line operations and the Smith
 form's column step, on the rows alone, so it co-tracks its inverse
@@ -88,6 +91,9 @@ _PRODUCT_CELLS = 1 << 15
 _MODULUS_LIMIT = 1 << 20
 _EXACT_COLUMNS = 1 << 12
 _PANEL = 32
+
+# A Smith line update pays about this many slab entries per entry by index.
+_INDEXED_COST = 4
 
 
 # --- array plumbing ---------------------------------------------------------
@@ -173,7 +179,8 @@ def _line_bits(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def _inner_groups(a: np.ndarray, b: np.ndarray, amax: int, bmax: int):
-    """The inner indices of ``a @ b`` in groups, each (indices, plan).
+    """The inner indices of ``a @ b`` in groups, each (indices, plan), and
+    an integer bound on every partial sum of the product.
 
     Index k adds at most max|a[:, k]| * max|b[k, :]| < 2^w_k to any partial
     sum, w_k the sum of the two bit lengths, and nothing when either line
@@ -183,21 +190,23 @@ def _inner_groups(a: np.ndarray, b: np.ndarray, amax: int, bmax: int):
     so it is one plain product.  Only the wide rest is cut into digits, by
     its own maxima and over its own, shorter, inner dimension.  The groups
     are taken only when they need fewer products than the whole inner
-    dimension in one split.
+    dimension in one split.  The bound is amax * bmax * k when that takes
+    one product, and otherwise the sum of all 2^w_k, in Python integers.
     """
     plan = _plan(amax, bmax, a.shape[1])
     if plan[0] * plan[2] == 1:
-        return [(slice(None), plan)]
+        return [(slice(None), plan)], amax * bmax * a.shape[1]
     ahi, alo, bhi, blo = a.max(axis=0), a.min(axis=0), b.max(axis=1), b.min(axis=1)
     abits, bbits = _line_bits(ahi, alo), _line_bits(bhi, blo)
+    live = (abits > 0) & (bbits > 0)
+    bound = sum(int(c) << w for w, c in enumerate(np.bincount((abits + bbits)[live])))
     # 2^54 stands for every wider term: none of them is narrow
-    terms = np.where((abits > 0) & (bbits > 0),
-                     np.exp2(np.minimum(abits + bbits, _FLOAT_EXACT_BITS + 1)), 0.0)
+    terms = np.where(live, np.exp2(np.minimum(abits + bbits, _FLOAT_EXACT_BITS + 1)), 0.0)
     order = np.argsort(terms, kind="stable")
     zero = int(np.count_nonzero(terms == 0))
     cut = int(np.searchsorted(np.cumsum(terms[order]), 2.0 ** _FLOAT_EXACT_BITS))
     if zero == 0 and cut == a.shape[1]:
-        return [(slice(None), (1, 0, 1, 0))]  # all narrow: no copies
+        return [(slice(None), (1, 0, 1, 0))], bound  # all narrow: no copies
     narrow, wide = np.sort(order[zero:cut]), np.sort(order[cut:])
     groups = [(narrow, (1, 0, 1, 0))] if narrow.size else []
     products = len(groups)
@@ -206,7 +215,7 @@ def _inner_groups(a: np.ndarray, b: np.ndarray, amax: int, bmax: int):
                           max(int(bhi[wide].max()), -int(blo[wide].min())), wide.size)
         groups.append((wide, wide_plan))
         products += wide_plan[0] * wide_plan[2]
-    return groups if products < plan[0] * plan[2] else [(slice(None), plan)]
+    return (groups if products < plan[0] * plan[2] else [(slice(None), plan)]), bound
 
 
 def _add_products(out: np.ndarray, a: np.ndarray, b: np.ndarray, groups) -> None:
@@ -257,9 +266,10 @@ def dot_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     base 2^s chosen so that each digit product passes the same bound with
     the fewest products.  The grouping is used only when it takes fewer
     products than cutting the whole operands.  The products are shifted
-    and added on the output alone: in int64 when the bound is below 2^62,
-    in Python integers otherwise.  They run over panels of the output's
-    rows, with the same plan for every panel, so the temporaries of a call
+    and added on the output alone: in int64 when the bound on partial sums
+    that :func:`_inner_groups` returns is below 2^62, in Python integers
+    otherwise.  They run over panels of the output's rows, with the same
+    plan for every panel, so the temporaries of a call
     are the digits of ``b`` and a panel's rows of ``a`` and float64 and
     int64 products, each of about _PRODUCT_CELLS entries, not products the
     size of the output.  The result is int64 when its entries fit and
@@ -275,11 +285,11 @@ def dot_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b2.shape[0] != inner:
         raise ValueError(f"dot_exact: shapes {a.shape} and {b.shape} not aligned")
     amax, bmax = _maxabs(a2), _maxabs(b2)
-    bound = amax * bmax * inner
+    groups, bound = _inner_groups(a2, b2, amax, bmax) if amax * bmax else ([], 0)
     out = np.zeros((a2.shape[0], b2.shape[1]),
                    dtype=np.int64 if bound < _LIMIT else object)
     if bound:
-        _add_products(out, a2, b2, _inner_groups(a2, b2, amax, bmax))
+        _add_products(out, a2, b2, groups)
     out = _shrink(out).reshape(a.shape[:-1] + b.shape[1:])
     return out if out.ndim else out[()]
 
@@ -555,17 +565,30 @@ class _Capped:
 
     def sub(self, axis: int, dst: np.ndarray, src: int, q: np.ndarray, qmax: int,
             lo: int = 0) -> None:
-        """lines[dst, j] -= q * lines[src, j] for j >= lo where lines[src, j] != 0."""
+        """lines[dst, j] -= q * lines[src, j] for j >= lo where lines[src, j] != 0.
+
+        The nonzeros of line src from lo on span the columns [s0, s1).
+        When they fill at least 1/_INDEXED_COST of the span, the update
+        runs on the slab lines[dst, s0:s1], whose zero source columns it
+        leaves unchanged; otherwise it gathers and scatters the nonzero
+        columns by index.  Either way the cap grows by qmax times the
+        largest |entry| of lines[src, s0:s1], the slice the update reads.
+        """
         m = self.lines(axis)
-        support = lo + np.flatnonzero(m[src, lo:])
-        if support.size == 0:
+        nz = np.flatnonzero(m[src, lo:])
+        if nz.size == 0:
             return
-        row = m[src, support]
+        s0, s1 = lo + int(nz[0]), lo + int(nz[-1]) + 1
+        span = m[src, s0:s1]
         if self.cap is not None:
-            self.grow(qmax * _maxabs(row))
+            self.grow(qmax * _maxabs(span))
             m = self.lines(axis)
-        q, row = q.astype(m.dtype, copy=False), row.astype(m.dtype, copy=False)
-        m[np.ix_(dst, support)] -= np.outer(q, row)
+        q, span = q.astype(m.dtype, copy=False)[:, None], span.astype(m.dtype, copy=False)
+        if s1 - s0 <= _INDEXED_COST * nz.size:
+            m[dst, s0:s1] -= q * span
+        else:
+            nz -= nz[0]
+            m[np.ix_(dst, nz + s0)] -= q * span[nz]
 
 
 class _Side:
@@ -582,6 +605,11 @@ class _Side:
     while that row is clean, -1 once it is dirty, so the clean rows' share
     of a mirrored update is a scatter of the multipliers and only dirty
     rows are gathered for a product.
+
+    The cap of ``inv`` grows by sum|q| times its widest dirty row (or 1);
+    when that would reach 2^62, by sum |q_i| max|row_i| over the dirty
+    rows plus max|q| over the clean ones, whose 1s lie in distinct
+    columns, in Python integers.
     """
 
     def __init__(self, n: int):
@@ -596,7 +624,13 @@ class _Side:
         clean = ones >= 0
         rows = inv.m[dst[~clean]]  # read once: the writes below go to row src alone
         if inv.cap is not None:
-            inv.grow(qsum * max(1, _maxabs(rows)))
+            growth = qsum * max(1, _maxabs(rows))
+            if inv.cap + growth >= _LIMIT:
+                qabs = np.abs(q)
+                reach = np.abs(rows).max(axis=1, initial=0).tolist()
+                growth = int(qabs[clean].max(initial=0)) + \
+                    sum(x * y for x, y in zip(qabs[~clean].tolist(), reach))
+            inv.grow(growth)
         q, rows = q.astype(inv.m.dtype, copy=False), rows.astype(inv.m.dtype, copy=False)
         inv.m[src, ones[clean]] += q[clean]
         if len(rows):
@@ -644,7 +678,7 @@ class _Tracked:
                 side = self.sides[axis]
                 lines += [side.fwd.m, side.inv.m, side.unit]
             for m in lines:
-                m[[i, j]] = m[[j, i]]
+                m[i], m[j] = m[j].copy(), m[i].copy()  # basic indexing: no index arrays
 
     def negate(self, i: int) -> None:
         side = self.sides[0]
@@ -668,7 +702,9 @@ def smith(a, *, _columns: bool = True) -> SmithResult:
     Per pivot, :func:`_clear_column` clears its column by rows and
     :func:`_reduce_once` its row by columns until both are clear; then the
     row of an entry the pivot fails to divide is added to the pivot row,
-    and the rounds repeat.  Batched line updates keep loops inside numpy.
+    and the rounds repeat.  A pivot of 1 divides everything and leaves no
+    remainder, so it finishes after one column clear and one row clear,
+    with no re-scan.  Batched line updates keep loops inside numpy.
 
     ``_columns=False`` is for a caller that reads only ``diag``, ``u`` and
     ``u_inv``: the column operations act on A alone, with the same pivots,
@@ -767,7 +803,10 @@ def _reduce_once(st: _Tracked, axis: int, t: int, c: int) -> bool:
     nz = np.flatnonzero(col)
     if nz.size == 0:
         return False
-    st.axpy(axis, nz + t + 1, t, _nearest_quotients(col[nz], int(lines[t, c])), lo=c)
+    pivot = int(lines[t, c])
+    st.axpy(axis, nz + t + 1, t, _nearest_quotients(col[nz], pivot), lo=c)
+    if pivot == 1:
+        return False  # the quotients are the entries: no remainder is left
     col = st.a.lines(axis)[t + 1:, c]
     nz = np.flatnonzero(col)
     if nz.size == 0:

@@ -258,6 +258,32 @@ def test_dot_exact_groups_wide_inner_indices(monkeypatch):
     assert counts == [1, 1]
 
 
+def test_dot_exact_sizes_its_output_by_the_per_index_bound(monkeypatch):
+    # the shape of C4's monomial_operator solves: the 28-bit columns of
+    # gram_inv meet small rows of the right-hand sides and the 27-bit rows
+    # meet small columns, so max|a| * max|b| * k passes 2^62 while every
+    # inner index is narrow and the plan is one float64 product
+    rng = np.random.default_rng(34)
+    k = 384
+    a = rng.integers(-9, 10, size=(40, k))
+    a[:, :k // 2] = rng.integers(-(1 << 28), 1 << 28, size=(40, k // 2))
+    b = rng.integers(-9, 10, size=(k, 30))
+    b[k // 2:] = rng.integers(-(1 << 27), 1 << 27, size=(k // 2, 30))
+    assert linalg._maxabs(a) * linalg._maxabs(b) * k >= 1 << 62
+    seen = []
+    add = linalg._add_products
+
+    def recording(out, a, b, groups):
+        seen.append((out.dtype, sum(plan[0] * plan[2] for _, plan in groups)))
+        return add(out, a, b, groups)
+
+    monkeypatch.setattr(linalg, "_add_products", recording)
+    got = linalg.dot_exact(a, b)
+    assert seen == [(np.int64, 1)]
+    assert got.dtype == np.int64
+    assert got.tolist() == (a.astype(object) @ b.astype(object)).tolist()
+
+
 def test_dot_exact_runs_in_row_panels(monkeypatch):
     # the shape of audit_smith's reconstruction of A4's d_3: U[:, :r] D with
     # 45-bit entries by V[:r] with 6-bit ones, a 2 x 1 plan into int64.
@@ -712,6 +738,75 @@ def test_int64_caps_bound_every_entry(monkeypatch):
     assert checked
 
 
+def _reference_sub(lines, dst, src, q, lo):
+    """lines[dst] -= q (x) lines[src] from entry lo on, in Python integers."""
+    lines = [[int(x) for x in row] for row in lines]
+    for i, qi in zip(dst, q):
+        for j in range(lo, len(lines[src])):
+            lines[i][j] -= int(qi) * lines[src][j]
+    return lines
+
+
+def test_capped_sub_matches_a_python_integer_loop():
+    rng = np.random.default_rng(35)
+    base = rng.integers(-50, 51, size=(6, 20))
+    single, dense, spread = np.zeros(20, dtype=np.int64), rng.integers(1, 9, size=20), \
+        np.zeros(20, dtype=np.int64)
+    single[7] = 3
+    spread[[2, 19]] = (5, -4)   # two nonzeros over a span of 18: updated by index
+    dst, q = np.array([0, 3, 5]), np.array([2, -1, 7])
+    for source, lo in ((single, 0), (dense, 0), (spread, 0), (dense, 6), (spread, 3)):
+        for dtype in (np.int64, object):
+            for axis in (0, 1):
+                lines = base.copy()
+                lines[1] = source
+                lines = lines.astype(dtype)
+                capped = linalg._Capped(np.ascontiguousarray(lines.T) if axis else lines.copy())
+                capped.sub(axis, dst, 1, q.astype(dtype), 7, lo)
+                got = capped.lines(axis)
+                assert got.tolist() == _reference_sub(lines, dst, 1, q, lo), (lo, dtype, axis)
+                # rows outside dst, and columns where the source is zero
+                # or that lie left of lo, stay as they were
+                rest = [i for i in range(6) if i not in dst]
+                assert got[rest].tolist() == lines[rest].tolist()
+                off = sorted(set(np.flatnonzero(source == 0).tolist()) | set(range(lo)))
+                assert got[:, off].tolist() == lines[:, off].tolist()
+    # updates that escalate part-way: the int64 matrix takes one update,
+    # turns object on the next and runs the last on Python integers
+    m = base.copy()
+    m[1] = 0
+    m[1, 4:9] = (1 << 60, 0, 3, -(1 << 59), 1)
+    capped, want = linalg._Capped(m.copy()), m.tolist()
+    for rows, qs, lo, dtype in (([0], [1], 0, np.int64), ([0, 2], [8, -3], 0, object),
+                                ([4], [1 << 70], 5, object)):
+        want = _reference_sub(want, rows, 1, qs, lo)
+        capped.sub(0, np.array(rows), 1, np.array(qs), max(map(abs, qs)), lo)
+        assert capped.m.dtype == dtype and (capped.cap is None) == (dtype == object)
+        assert capped.m.tolist() == want
+
+
+def test_mirrored_cap_is_summed_row_by_row():
+    # one dirty row of inv near 2^60 with multiplier 1, narrow dirty rows
+    # and a clean row with multiplier 8: sum|q| times the widest row would
+    # pass 2^62, the row-by-row sum does not
+    side = linalg._Side(6)
+    side.inv.m[1] = (0, 1 << 60, 0, 5, 0, 0)
+    side.inv.m[2] = (1, 0, 3, 0, -2, 0)
+    side.inv.m[3] = (0, -6, 0, 1, 0, 4)
+    side.unit[1:4] = -1
+    side.inv.cap = linalg._maxabs(side.inv.m)
+    before = side.inv.m.tolist()
+    dst, src = np.array([1, 2, 3, 5]), 0
+    qarr, qmax, qsum = linalg._growth([1, 8, 8, 8])
+    assert qsum * (1 << 60) >= 1 << 62
+    side.axpy(dst, src, qarr, qmax, qsum)
+    assert side.inv.m.dtype == np.int64 and side.inv.cap is not None
+    assert side.inv.cap >= linalg._maxabs(side.inv.m)
+    want = [x + sum(int(qi) * before[i][j] for i, qi in zip(dst, qarr))
+            for j, x in enumerate(before[src])]
+    assert side.inv.m.tolist() == [want] + before[1:]
+
+
 def test_smith_diag_matches_determinant():
     rng = random.Random(24)
     for _ in range(15):
@@ -763,7 +858,7 @@ def test_audit_rejects_a_tampered_wide_transform_entry(pipeline, monkeypatch):
 
     def seen(a, b, amax, bmax):
         out = groups(a, b, amax, bmax)
-        split.append(len(out))
+        split.append(len(out[0]))
         return out
 
     monkeypatch.setattr(linalg, "_inner_groups", seen)

@@ -1,5 +1,6 @@
 import json
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +102,19 @@ def test_certification_dets_golden(pipeline):
         cert = run.certificate
         assert cert is not None, name
         assert cert.dets == dets, name
+
+
+def test_certification_dets_match_the_bench_goldens(pipeline):
+    # the det signs follow the Smith pivots; the benchmark rejects a run
+    # whose dets differ from its goldens, so the same check runs here
+    goldens = json.loads((Path(__file__).resolve().parent.parent
+                          / "perfbench" / "goldens.json").read_text())
+    names = [name for name, g in goldens.items() if "dets" in g]
+    assert len(names) == 9
+    for name in names:
+        cert = pipeline(name).certificate
+        assert cert is not None, name
+        assert list(cert.dets) == goldens[name]["dets"], name
 
 
 def test_certify_rejects_degenerate_generators(pipeline):
