@@ -5,11 +5,11 @@ whose consecutive products vanish.  Homology at each degree, with
 explicit cycles, is split off two Smith decompositions: one for the
 outgoing boundary (cutting out the kernel), one for the incoming
 boundaries rewritten in kernel coordinates (reading off invariant
-factors).  The table of Betti numbers and torsion alone needs only the
-rank and invariant factors of each boundary map, which sparse
-elimination of unit pivots finds before one Smith form of what is left.
-All arithmetic is exact, and every audit exact and deterministic; what
-:func:`homology_of` audits, and why that suffices, is set out there.
+factors).  The Betti numbers and torsion found that way must agree with
+the rank and invariant factors of each boundary map, read off the first
+of those forms.  All arithmetic is exact, and every audit exact and
+deterministic; what :func:`homology_of` audits, and why that suffices,
+is set out there.
 
 The one builder needed downstream is the Koszul complex of a family of
 commuting operators: degree p is one copy of the underlying module per
@@ -24,11 +24,9 @@ operators commute.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import NamedTuple
 
 import numpy as np
 
@@ -227,135 +225,10 @@ def homology_of(cx: ChainComplex) -> tuple[DegreeHomology, ...]:
         # the next degree's Smith forms must not start while these transforms
         # are still bound: they would set the peak memory
         del sm_out, folded, relations, sm_rel
-    for h, row in zip(out, _table(cx, factors)):
-        if (h.betti, h.torsion) != (row.betti, row.torsion):
-            raise DefectError(f"homology disagrees with boundary factors at degree {h.degree}")
+    factors.append([])  # d_{length+1} is zero
+    for p, h in enumerate(out):
+        betti = cx.ranks[p] - len(factors[p]) - len(factors[p + 1])
+        torsion = tuple(int(x) for x in factors[p + 1] if x > 1)
+        if (h.betti, h.torsion) != (betti, torsion):
+            raise DefectError(f"homology disagrees with boundary factors at degree {p}")
     return tuple(out)
-
-
-class HomologyRow(NamedTuple):
-    """Free rank and invariant factors of the homology at one degree."""
-
-    degree: int
-    betti: int
-    torsion: tuple[int, ...]
-
-
-def _eliminate_unit_pivots(d: np.ndarray) -> tuple[int, np.ndarray]:
-    """Eliminate +-1 pivots of ``d``; return their number and the residual.
-
-    A +-1 entry at (i, j) splits off a 1 from the Smith form: row
-    operations clear the rest of column j, column operations the rest of
-    row i, and what is left once row i and column j are dropped is an
-    integer matrix (the Schur complement) with the remaining invariant
-    factors.  Pivots are taken in Markowitz order, least
-    (len(row) - 1) * (len(column) - 1) first, ties to the lower row and
-    then column, from a heap whose stale costs are refreshed when popped.
-    The matrix is held as a dict of rows in Python integers.  The residual
-    keeps only the rows and columns that still hold an entry; zero rows
-    and columns add nothing to the rank or the invariant factors.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    nz_rows, nz_cols = np.nonzero(d)
-    for i, j, v in zip(nz_rows.tolist(), nz_cols.tolist(), d[nz_rows, nz_cols].tolist()):
-        rows.setdefault(i, {})[j] = int(v)
-        cols.setdefault(j, set()).add(i)
-
-    def cost(i: int, j: int) -> int:
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-
-    heap = [(cost(i, j), i, j) for i, row in rows.items()
-            for j, v in row.items() if v in (1, -1)]
-    heapq.heapify(heap)
-    pivots = 0
-    while heap:
-        old, i, j = heapq.heappop(heap)
-        row = rows.get(i)
-        if row is None or row.get(j) not in (1, -1):
-            continue  # its row was a pivot row, or the entry changed
-        now = cost(i, j)
-        if now != old:
-            heapq.heappush(heap, (now, i, j))
-            continue
-        del rows[i]
-        sign = row.pop(j)
-        for c in row:
-            cols[c].discard(i)
-        cols[j].discard(i)
-        for k in cols.pop(j):
-            target = rows[k]
-            factor = target.pop(j) * sign
-            for c, v in row.items():
-                new = target.get(c, 0) - factor * v
-                if new:
-                    if c not in target:
-                        cols[c].add(k)
-                    target[c] = new
-                    if new in (1, -1):
-                        heapq.heappush(heap, (cost(k, c), k, c))
-                elif c in target:
-                    del target[c]
-                    cols[c].discard(k)
-        pivots += 1
-    live_rows = sorted(i for i, row in rows.items() if row)
-    live_cols = sorted(j for j, s in cols.items() if s)
-    where = {j: n for n, j in enumerate(live_cols)}
-    residual = [[0] * len(live_cols) for _ in live_rows]
-    for n, i in enumerate(live_rows):
-        for j, v in rows[i].items():
-            residual[n][where[j]] = v
-    return pivots, linalg.as_int_array(residual).reshape(len(live_rows), len(live_cols))
-
-
-def homology_table(cx: ChainComplex) -> tuple[HomologyRow, ...]:
-    """Betti numbers and torsion in every degree, lowest first.
-
-    Each boundary map goes through :func:`_eliminate_unit_pivots`, then
-    one audited Smith form of what is left: its rank is the number of
-    unit pivots plus the residual's rank, and its invariant factors above
-    1 are the residual's.  With r_p the rank of d_p (zero off the ends),
-    the free rank of H_p is rank C_p - r_p - r_{p+1}.  Its torsion is the
-    torsion of coker d_{p+1} = C_p / B_p: the quotient C_p / Z_p embeds in
-    the free module C_{p-1}, so C_p / B_p is H_p = Z_p / B_p plus a free
-    summand, and its torsion is the invariant factors of d_{p+1} above 1.
-    No cycles are produced; :func:`homology_of` does that.
-    """
-    factors = [[]]
-    for d in cx.maps:
-        pivots, residual = _eliminate_unit_pivots(d)
-        sm = linalg.smith(residual)
-        linalg.audit_smith(residual, sm)
-        factors.append([1] * pivots + sm.diag[:sm.rank])
-    return _table(cx, factors)
-
-
-def _table(cx: ChainComplex, factors) -> tuple[HomologyRow, ...]:
-    """Homology rows from the nonzero invariant factors of each d_p,
-    p = 0 .. length; d_{length+1} is zero."""
-    factors = list(factors) + [[]]
-    return tuple(
-        HomologyRow(degree=p,
-                    betti=cx.ranks[p] - len(factors[p]) - len(factors[p + 1]),
-                    torsion=tuple(int(x) for x in factors[p + 1] if x > 1))
-        for p in range(cx.length + 1))
-
-
-def ext_via_cochain(cx: ChainComplex) -> tuple[HomologyRow, ...]:
-    """Cohomology table of the dualized complex, by cohomological degree.
-
-    Dualizing a complex of free modules reverses the arrows and
-    transposes the matrices; :func:`homology_table` of that complex is
-    re-indexed so that entry p is the degree-p cohomology.  Its torsion
-    is read off the invariant factors of the transposed maps, by the
-    argument given there.  For the Koszul complexes used here this table
-    must mirror the homology table — a cross-check the callers enforce.
-    The two sides share no elimination: the ranks and factors here come
-    from unit-pivot elimination and an exactly audited Smith form of
-    the residual, those of :func:`homology_of` from its dense Smith forms.
-    """
-    length = cx.length
-    rev_ranks = tuple(reversed(cx.ranks))
-    rev_maps = tuple(cx.maps[length - 1 - q].T for q in range(length))
-    rev = homology_table(ChainComplex(ranks=rev_ranks, maps=rev_maps))
-    return tuple(row._replace(degree=length - row.degree) for row in reversed(rev))

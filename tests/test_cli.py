@@ -183,6 +183,7 @@ def test_verify_full_runs_property_suites(capsys):
     assert "demazure-idempotent" in out
     assert "rational-series-oracle" in out
     assert "smith-reconstruction-random" in out
+    assert "betti-mod-2" in out
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):

@@ -311,94 +311,15 @@ def _table_of(hom):
     return [(h.degree, h.betti, h.torsion) for h in hom]
 
 
-def _edge_complexes():
+def test_homology_of_edge_complex_tables():
+    # one operator with elementary divisors 1 and 4
     torsion = koszul_complex([np.array([[2, 1], [0, 2]])])
+    assert _table_of(homology.homology_of(torsion)) == [(0, 0, (4,)), (1, 0, ())]
     zero_map = ChainComplex(ranks=(2, 3, 1), maps=(
         np.zeros((2, 3), dtype=np.int64), np.array([[2], [0], [4]])))
+    assert _table_of(homology.homology_of(zero_map)) == \
+        [(0, 2, ()), (1, 2, (2,)), (2, 0, ())]
     empty_degree = ChainComplex(ranks=(2, 0, 3), maps=(
         np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)))
-    return [torsion, zero_map, empty_degree]
-
-
-def test_homology_table_matches_homology_of():
-    rng = random.Random(43)
-    complexes = _edge_complexes()
-    for _ in range(12):
-        complexes.append(koszul_complex(
-            _commuting_family(rng, rng.randint(1, 4), rng.randint(1, 3))))
-    assert any(any(h.torsion for h in homology.homology_of(cx)) for cx in complexes)
-    for cx in complexes:
-        assert _table_of(homology.homology_table(cx)) == \
-            _table_of(homology.homology_of(cx))
-    torsion, zero_map, empty_degree = complexes[:3]
-    assert _table_of(homology.homology_table(torsion)) == [(0, 0, (4,)), (1, 0, ())]
-    assert _table_of(homology.homology_table(zero_map)) == \
-        [(0, 2, ()), (1, 2, (2,)), (2, 0, ())]
-    assert _table_of(homology.homology_table(empty_degree)) == \
+    assert _table_of(homology.homology_of(empty_degree)) == \
         [(0, 2, ()), (1, 0, ()), (2, 3, ())]
-
-
-def _one_map(rows):
-    d = np.array(rows, dtype=np.int64)
-    return ChainComplex(ranks=d.shape, maps=(d,))
-
-
-def test_unit_pivot_elimination_leaves_the_right_residual():
-    # no +-1 entry: everything goes to the residual's Smith form
-    pivots, residual = homology._eliminate_unit_pivots(np.array([[2, 4], [6, 8]]))
-    assert (pivots, residual.tolist()) == (0, [[2, 4], [6, 8]])
-    # one unit pivot, and a residual that carries torsion
-    mixed = [[1, 1, 0], [1, 3, 0], [0, 0, 6]]
-    pivots, residual = homology._eliminate_unit_pivots(np.array(mixed))
-    assert (pivots, residual.tolist()) == (1, [[2, 0], [0, 6]])
-    # eliminating (0, 0) turns the 3 into a new unit: no residual is left
-    pivots, residual = homology._eliminate_unit_pivots(np.array([[1, 2], [1, 3]]))
-    assert (pivots, residual.shape) == (2, (0, 0))
-    # zero rows and columns never reach the residual
-    pivots, residual = homology._eliminate_unit_pivots(np.zeros((3, 2), dtype=np.int64))
-    assert (pivots, residual.shape) == (0, (0, 0))
-    cases = [_one_map([[2, 4], [6, 8]]), _one_map(mixed), _one_map([[1, 2], [1, 3]]),
-             _one_map([[3, 1, 2], [1, 3, 5], [2, 5, 7]])]
-    for cx in cases + _edge_complexes():
-        assert _table_of(homology.homology_table(cx)) == \
-            _table_of(homology.homology_of(cx))
-    assert _table_of(homology.homology_table(cases[0])) == [(0, 0, (2, 4)), (1, 0, ())]
-    assert _table_of(homology.homology_table(cases[1])) == [(0, 0, (2, 6)), (1, 0, ())]
-
-
-def test_d4_ext_table_is_binomial(pipeline):
-    ext = homology.ext_via_cochain(pipeline("D4").chain_complex)
-    assert _table_of(ext) == [(p, comb(4, p), ()) for p in range(5)]
-
-
-def test_ext_is_the_homology_of_the_dual_complex():
-    rng = random.Random(44)
-    complexes = _edge_complexes()
-    for _ in range(8):
-        complexes.append(koszul_complex(
-            _commuting_family(rng, rng.randint(1, 4), rng.randint(1, 3))))
-    for cx in complexes:
-        dual = ChainComplex(ranks=tuple(reversed(cx.ranks)),
-                            maps=tuple(m.T for m in reversed(cx.maps)))
-        want = [(cx.length - h.degree, h.betti, h.torsion)
-                for h in reversed(homology.homology_of(dual))]
-        assert _table_of(homology.ext_via_cochain(cx)) == want
-
-
-def test_ext_mirrors_homology(pipeline):
-    run = pipeline("B2")
-    ext = homology.ext_via_cochain(run.chain_complex)
-    betti = [h.betti for h in run.homology]
-    assert [e.betti for e in ext] == betti[::-1]
-    assert all(e.torsion == () for e in ext)
-    assert [e.degree for e in ext] == list(range(len(betti)))
-
-
-def test_ext_detects_torsion_mirror():
-    # one operator with elementary divisors 1 and 2: homology and
-    # cohomology carry the same torsion at mirrored spots
-    cx = koszul_complex([np.array([[2, 1], [0, 2]])])
-    hom = homology.homology_of(cx)
-    ext = homology.ext_via_cochain(cx)
-    assert [h.betti for h in hom] == [e.betti for e in ext][::-1]
-    assert hom[0].torsion == ext[1].torsion

@@ -1063,3 +1063,47 @@ def test_det_mod_agrees_with_exact():
         a = _random_matrix(rng, 4, 4)
         p = 1_000_003
         assert linalg.det_mod(a, p) == linalg.det_exact(a) % p
+
+
+def _rank_mod2_reference(a):
+    """Rank over F_2 with each row a Python integer bit mask, reduced by
+    its leading bit against an echelon basis."""
+    basis = {}
+    for row in a.tolist():
+        v = sum(1 << j for j, x in enumerate(row) if x % 2)
+        while v and v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+    return len(basis)
+
+
+def test_rank_mod2_matches_python_reference():
+    for shape in ((0, 0), (0, 5), (5, 0), (4, 7)):
+        assert linalg.rank_mod2(np.zeros(shape, dtype=np.int64)) == 0
+    rng = np.random.default_rng(31)
+    cases = []
+    # columns on both sides of the 64-bit word boundaries; low-rank
+    # products make dependent rows, entries are negative and odd
+    for cols in (63, 64, 65, 129):
+        for rows, inner in ((1, 1), (7, 3), (70, 40), (130, 65)):
+            a = rng.integers(-5, 6, size=(rows, inner)) @ rng.integers(-5, 6, size=(inner, cols))
+            cases += [a, a.T]
+    ranks = []
+    for a in cases:
+        ranks.append(linalg.rank_mod2(a))
+        assert ranks[-1] == _rank_mod2_reference(a), a.shape
+    assert max(ranks) > 64 and min(ranks) < 5
+    # entries past 2^63 in an object matrix: only their parity counts
+    a = cases[-2]
+    big = a.astype(object) + (1 << 70) * rng.integers(-3, 4, size=a.shape).astype(object)
+    assert big.dtype == object and max(abs(x) for x in big.flat) > 1 << 63
+    assert linalg.rank_mod2(big) == _rank_mod2_reference(a)
+
+
+def test_rank_mod2_audit_rejects_an_extra_pivot(monkeypatch):
+    a = np.array([[1, 1, 0], [3, -1, 0]])
+    assert linalg.rank_mod2(a) == 1
+    monkeypatch.setattr(linalg, "_pivots_mod2", lambda a: ([0, 1], [0, 1]))
+    with pytest.raises(DefectError, match="singular mod 2"):
+        linalg.rank_mod2(a)

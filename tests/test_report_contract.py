@@ -25,17 +25,17 @@ COMPUTE_JSON = {
 COMPUTE_JSON_D4 = "1e232392fee461a9fe73471b41cd9f4a1c0d97b075fe63329f092f4a81554a5e"
 
 # so is A4's full verify table, where the canonical bases carry object entries
-VERIFY_FULL_A4 = "0c01b192992141441ea41e4409d423b601c143b67e445b847b2fd514a1d561b5"
+VERIFY_FULL_A4 = "430b897618a5d8c46a1b24ee9e96a2fba9ffe724dbdc21212b38ab5d19256ff8"
 
 VERIFY_FULL = {
-    "A1": "79a0d91d3f8f5cb7ac2b70f40349954c83ea16472fc15b5028c1592f3119dbe8",
-    "A1xA1": "011e6730b1750357317b0efe5d78928528d72784ff343ccbba2030b83edccd72",
-    "A2": "011e6730b1750357317b0efe5d78928528d72784ff343ccbba2030b83edccd72",
-    "A3": "b8f11dc757b557e2f2497076c6f8b86dc239d76b5b5282dce1369652b9259293",
-    "B2": "011e6730b1750357317b0efe5d78928528d72784ff343ccbba2030b83edccd72",
-    "B3": "b8f11dc757b557e2f2497076c6f8b86dc239d76b5b5282dce1369652b9259293",
-    "C3": "b8f11dc757b557e2f2497076c6f8b86dc239d76b5b5282dce1369652b9259293",
-    "G2": "011e6730b1750357317b0efe5d78928528d72784ff343ccbba2030b83edccd72",
+    "A1": "df8316dfa263dd396d4fb6cfe85293741003ab80ab44257aefef29cec6189317",
+    "A1xA1": "e5d051054d7b847ee19e678306613e7ffeee2fd7defbaa0e726e2d6e1f8ff26b",
+    "A2": "e5d051054d7b847ee19e678306613e7ffeee2fd7defbaa0e726e2d6e1f8ff26b",
+    "A3": "7c8a72b5ee8884d47edac1d6e1f333c975db16e827ac59f4101204b7e2ca06ea",
+    "B2": "e5d051054d7b847ee19e678306613e7ffeee2fd7defbaa0e726e2d6e1f8ff26b",
+    "B3": "7c8a72b5ee8884d47edac1d6e1f333c975db16e827ac59f4101204b7e2ca06ea",
+    "C3": "7c8a72b5ee8884d47edac1d6e1f333c975db16e827ac59f4101204b7e2ca06ea",
+    "G2": "e5d051054d7b847ee19e678306613e7ffeee2fd7defbaa0e726e2d6e1f8ff26b",
 }
 
 

@@ -88,3 +88,16 @@ def test_pairing_routes_read_the_weight_grid(pipeline, monkeypatch):
     result = verify.check_pairing_routes(run.datum, run.weyl)
     assert not result.passed
     assert result.name == "pairing-route-agreement"
+
+
+def test_betti_mod_2_catches_a_wrong_table(pipeline):
+    run = pipeline("A2")
+    assert verify.check_betti_mod2(run.chain_complex, run.homology).passed
+    # the shared run stays intact: only a copy of degree 1 is tampered
+    homres = list(run.homology)
+    homres[1] = copy.copy(homres[1])
+    homres[1].betti += 1
+    result = verify.check_betti_mod2(run.chain_complex, homres)
+    assert not result.passed
+    assert result.name == "betti-mod-2"
+    assert result.witness == {"error": "mod 2 [1, 2, 1] vs certified [1, 3, 1]"}
