@@ -254,13 +254,6 @@ class WeylGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def longest_element(self) -> Matrix:
-        w = identity_matrix(self.datum.rank)
-        for i in self.longest_word:
-            w = mat_mul(w, self.simple_reflections[i])
-        return w
-
 
 def generate_weyl(datum: RootDatum, max_order: int = DEFAULT_WEYL_GUARD) -> WeylGroup:
     """Enumerate the Weyl group by closure under the simple reflections.
@@ -375,30 +368,3 @@ def positive_coroots(datum: RootDatum) -> tuple[Vector, ...]:
 def is_dominant(weight: Vector) -> bool:
     return all(x >= 0 for x in weight)
 
-
-# --- reduced words ----------------------------------------------------------
-
-def reduced_words(weyl: WeylGroup) -> list[tuple[int, ...]]:
-    """All reduced words for the longest element.
-
-    Recursion on right descents: i is a right descent of w exactly when
-    w(alpha_i) is a negative root, and then every reduced word of w with
-    final letter i extends one of w*s_i.  Exponential in general; meant
-    for small-rank verification (A3 already has 16 words for w0).
-    """
-    datum = weyl.datum
-    alphas = datum.simple_roots
-    memo: dict[Matrix, list[tuple[int, ...]]] = {identity_matrix(datum.rank): [()]}
-
-    def walk(w: Matrix) -> list[tuple[int, ...]]:
-        if w in memo:
-            return memo[w]
-        words = []
-        for i in range(datum.rank):
-            if _root_sign(datum, mat_vec(w, alphas[i])) < 0:
-                shorter = mat_mul(w, weyl.simple_reflections[i])
-                words.extend(word + (i,) for word in walk(shorter))
-        memo[w] = words
-        return words
-
-    return walk(weyl.longest_element)

@@ -106,9 +106,6 @@ class LaurentPoly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sorted_terms(self) -> list[tuple[Vector, int]]:
         """Terms in canonical (lexicographic) order."""
         return sorted(self.terms.items())

@@ -47,10 +47,11 @@ def _guard(name: str, fn) -> CheckResult:
 
 def _random_poly(rng: random.Random, nvars: int, max_terms: int = 5,
                  span: int = 3, coeff: int = 9) -> LaurentPoly:
+    """Never zero, so no trial is vacuous: coefficients are +-[1, coeff]."""
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         exps = tuple(rng.randint(-span, span) for _ in range(nvars))
-        terms[exps] = rng.randint(-coeff, coeff)
+        terms[exps] = rng.choice((-1, 1)) * rng.randint(1, coeff)
     return LaurentPoly(nvars, terms)
 
 
@@ -170,20 +171,30 @@ def check_demazure_properties(datum, seed: int = DEFAULT_SEED) -> list[CheckResu
             _guard("demazure-reflection-invariant", invariant)]
 
 
-def check_word_independence(datum, weyl, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Every reduced word of the longest element gives the same composite
-    operator.  Full enumeration — intended for rank <= 3."""
+def check_braid_relations(datum, seed: int = DEFAULT_SEED) -> CheckResult:
+    """pi_i pi_j pi_i ... = pi_j pi_i pi_j ..., m_ij factors a side, for
+    every pair i < j on random polynomials.
+
+    m_ij is 2, 3, 4 or 6 as a_ij a_ji is 0, 1, 2 or 3.  By Matsumoto's
+    theorem braid moves join any two reduced words of a Weyl element, so
+    these relations say that D_{w0}, which the characters and the
+    pairing apply along one reduced word, does not depend on the word.
+    """
     def body():
         polys = 4
-        words = cartan.reduced_words(weyl)
+        n, a = datum.rank, datum.cartan_matrix
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         rng = random.Random(seed)
         for _ in range(polys):
-            f = _random_poly(rng, datum.rank, max_terms=3, span=2, coeff=5)
-            images = {laurent.demazure_word(datum, word, f) for word in words}
-            if len(images) != 1:
-                raise AssertionError(f"{len(images)} distinct images on {f}")
-        return {"words": len(words), "polys": polys}
-    return _guard("longest-word-independence", body)
+            f = _random_poly(rng, n, max_terms=3, span=2, coeff=5)
+            for i, j in pairs:
+                m = (2, 3, 4, 6)[a[i][j] * a[j][i]]
+                left = laurent.demazure_word(datum, ((i, j) * m)[:m], f)
+                right = laurent.demazure_word(datum, ((j, i) * m)[:m], f)
+                if left != right:
+                    raise AssertionError(f"braid relation fails at pair {(i, j)} on {f}")
+        return {"pairs": len(pairs), "polys": polys}
+    return _guard("demazure-braid-relations", body)
 
 
 def check_decompose_roundtrip(nvars: int, seed: int = DEFAULT_SEED) -> CheckResult:
@@ -328,12 +339,13 @@ def check_graded_commutativity(run, seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def property_checks(run, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """The full randomized suite for one pipeline run."""
+    """The full randomized suite for one pipeline run.  Its one rank gate
+    is the rational series oracle's: exact ``Fraction`` arithmetic grows
+    too costly past rank 2."""
     datum, weyl = run.datum, run.weyl
     checks = []
     checks += check_demazure_properties(datum, seed=seed)
-    if datum.rank <= 3:
-        checks.append(check_word_independence(datum, weyl, seed=seed))
+    checks.append(check_braid_relations(datum, seed=seed))
     checks.append(check_decompose_roundtrip(datum.rank, seed=seed))
     checks.append(check_pairing_routes(datum, weyl, seed=seed))
     checks.append(check_smith_random(seed=seed))

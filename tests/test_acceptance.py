@@ -103,14 +103,15 @@ def test_criterion_6_independent_oracles(pipeline):
 
 
 def test_criterion_7_property_suites(pipeline):
-    failures, demazure_witnesses = [], []
+    failures, demazure_witnesses, braid_witnesses = [], [], {}
     for name in ALL_TYPES:
         run = pipeline(name)
         results = verify.check_demazure_properties(run.datum)
         demazure_witnesses += [r.witness for r in results]
         results.append(verify.check_boundary_squares(run.chain_complex))
+        results.append(verify.check_braid_relations(run.datum))
+        braid_witnesses[name] = results[-1].witness
         if run.datum.rank <= 3:
-            results.append(verify.check_word_independence(run.datum, run.weyl))
             results.append(verify.check_pairing_routes(run.datum, run.weyl))
         failures += [(name, r.name, r.witness) for r in results if not r.passed]
     smith = verify.check_smith_random()
@@ -118,8 +119,12 @@ def test_criterion_7_property_suites(pipeline):
         failures.append(("-", smith.name, smith.witness))
     assert failures == [], failures
     # the suites ran their full counts: 120 random polynomials per
-    # Demazure property, 60 Smith matrices
+    # Demazure property, 4 on every pair of generators for the braid
+    # relations, 60 Smith matrices
     assert demazure_witnesses == [{"trials": 120}] * (2 * len(ALL_TYPES))
+    assert braid_witnesses == {
+        name: {"pairs": comb(pipeline(name).datum.rank, 2), "polys": 4}
+        for name in ALL_TYPES}
     assert smith.witness == {"matrices": 60}
     _conclude(7, "randomized property suites, zero failures")
 

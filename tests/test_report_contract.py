@@ -25,17 +25,17 @@ COMPUTE_JSON = {
 COMPUTE_JSON_D4 = "1e232392fee461a9fe73471b41cd9f4a1c0d97b075fe63329f092f4a81554a5e"
 
 # so is A4's full verify table, where the canonical bases carry object entries
-VERIFY_FULL_A4 = "430b897618a5d8c46a1b24ee9e96a2fba9ffe724dbdc21212b38ab5d19256ff8"
+VERIFY_FULL_A4 = "b9cece80cf1c6ce3aaa053bbcde57cda71d5013a76990edf54ac03af12f2a50a"
 
 VERIFY_FULL = {
-    "A1": "df8316dfa263dd396d4fb6cfe85293741003ab80ab44257aefef29cec6189317",
-    "A1xA1": "e5d051054d7b847ee19e678306613e7ffeee2fd7defbaa0e726e2d6e1f8ff26b",
-    "A2": "e5d051054d7b847ee19e678306613e7ffeee2fd7defbaa0e726e2d6e1f8ff26b",
-    "A3": "7c8a72b5ee8884d47edac1d6e1f333c975db16e827ac59f4101204b7e2ca06ea",
-    "B2": "e5d051054d7b847ee19e678306613e7ffeee2fd7defbaa0e726e2d6e1f8ff26b",
-    "B3": "7c8a72b5ee8884d47edac1d6e1f333c975db16e827ac59f4101204b7e2ca06ea",
-    "C3": "7c8a72b5ee8884d47edac1d6e1f333c975db16e827ac59f4101204b7e2ca06ea",
-    "G2": "e5d051054d7b847ee19e678306613e7ffeee2fd7defbaa0e726e2d6e1f8ff26b",
+    "A1": "7a4dea1c90bacea9ba59a8169a41a4262f1077ec6e64cfdb2255b41094ff35d9",
+    "A1xA1": "6fdfc70db81e4ee4928381adac9a176d21c59c15323fa1f55f9c98280d760da8",
+    "A2": "6fdfc70db81e4ee4928381adac9a176d21c59c15323fa1f55f9c98280d760da8",
+    "A3": "b9cece80cf1c6ce3aaa053bbcde57cda71d5013a76990edf54ac03af12f2a50a",
+    "B2": "6fdfc70db81e4ee4928381adac9a176d21c59c15323fa1f55f9c98280d760da8",
+    "B3": "b9cece80cf1c6ce3aaa053bbcde57cda71d5013a76990edf54ac03af12f2a50a",
+    "C3": "b9cece80cf1c6ce3aaa053bbcde57cda71d5013a76990edf54ac03af12f2a50a",
+    "G2": "6fdfc70db81e4ee4928381adac9a176d21c59c15323fa1f55f9c98280d760da8",
 }
 
 

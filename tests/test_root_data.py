@@ -109,21 +109,6 @@ LONGEST_WORDS = {
     "B2xG2": "a8edf4f9d8d126421ecd8832ac93218f1cb12bf69cdcd52e58c44d6c9965194d",
 }
 
-# reduced_words of the longest element, rank <= 3
-REDUCED_WORDS = {
-    "A1": "78fce9491f4b0e3b895728f3c6efe71e16e4ae77f5f6db9148e6e0584bc5fd42",
-    "A1xA1": "6d44e6b042522da41ca61db3695729778e687aa344a630cadb567b159a196e63",
-    "A2": "9a07f3dd47dbb04711dc6e85e6a080c4688c3ee4cbe02884b13ba5b738eb4283",
-    "A2xA1": "ac29683b825478fca2f61d51f32c941686aeeae9811f0230d145026bbdc0040d",
-    "A3": "ff22031e0acd2684f780f283bc1e314e3ec8d67c2433247b689db2d367c2f73e",
-    "B2": "81f010213d7059522ee506f24c38007ede577ccb48ff0933b58b926c9b7530f2",
-    "B3": "9f95dee22347f9b8e6fcf3887353829c72a7180b37368a8e4d65f6fb0c63a044",
-    "C2": "81f010213d7059522ee506f24c38007ede577ccb48ff0933b58b926c9b7530f2",
-    "C3": "9f95dee22347f9b8e6fcf3887353829c72a7180b37368a8e4d65f6fb0c63a044",
-    "D3": "8abfe6f2c632123dc07eebe325e0a840205184232acb101d03a995bd6da86e49",
-    "G2": "3812842d5ccd2f0ac5fc813b40cbad8986c2d26bbf5bccc7d69aa835667eaafe",
-}
-
 # steinberg_weights, for the acceptance types plus C4
 STEINBERG = {
     "A1": "fae298c070f048107204c1de59eae61fcca5aebd9055ba848555f48182dbc154",
@@ -175,12 +160,6 @@ def test_longest_words_match_digests():
     for name, digest in LONGEST_WORDS.items():
         weyl = cartan.generate_weyl(_datum(name))
         assert _digest(weyl.longest_word) == digest, name
-
-
-def test_reduced_words_match_digests():
-    for name, digest in REDUCED_WORDS.items():
-        weyl = cartan.generate_weyl(_datum(name))
-        assert _digest(cartan.reduced_words(weyl)) == digest, name
 
 
 def test_steinberg_weights_match_digests():
