@@ -278,6 +278,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "max_weyl_order", 1) < 1:  # would refuse every type
+            raise UsageError(f"--max-weyl-order must be at least 1, not {args.max_weyl_order}")
         return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -23,6 +23,19 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
 
 
+def test_weyl_guard_below_one_is_a_usage_error(monkeypatch, capsys):
+    code, _, err = _run(["compute", "--type", "A1", "--max-weyl-order", "1"], capsys)
+    assert code == 3 and err.startswith("resource guard: ")  # 1 is allowed
+
+    def refuse(ctype):
+        raise AssertionError("the root datum was built before the usage check")
+    monkeypatch.setattr(cartan, "build_root_datum", refuse)
+    for bound in ("0", "-3"):
+        code, out, err = _run(["compute", "--type", "A1", "--max-weyl-order", bound], capsys)
+        assert code == 1 and out == ""
+        assert err == f"usage error: --max-weyl-order must be at least 1, not {bound}\n"
+
+
 def test_resource_guard_exits_three(capsys):
     code, _, err = _run(["compute", "--type", "E8"], capsys)
     assert code == 3
@@ -182,8 +195,10 @@ def test_verify_full_runs_property_suites(capsys):
     assert code == 0
     assert "demazure-idempotent" in out
     assert "rational-series-oracle" in out
-    assert "smith-reconstruction-random" in out
     assert "betti-mod-2" in out
+    # type-independent library checks are unit tests, not rows
+    assert "smith-reconstruction-random" not in out
+    assert "ideal-decompose-roundtrip" not in out
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):

@@ -203,13 +203,20 @@ def test_decompose_golden_a1():
 
 
 def test_decompose_roundtrip_random():
-    rng = random.Random(16)
-    for _ in range(40):
-        f = _random_poly(rng, 2)
-        f = f - laurent.augmentation(f)
-        cofs = laurent.decompose_augmentation_ideal(f)
-        acc = LaurentPoly.zero(2)
-        for j, cof in enumerate(cofs):
-            step = tuple(int(k == j) for k in range(2))
-            acc = acc + cof * (LaurentPoly.monomial(step) - 1)
-        assert acc == f
+    # at the ranks of the gate types
+    for nvars in (1, 2, 3, 4):
+        rng = random.Random(16)
+        trials = 0
+        for _ in range(40):
+            f = _random_poly(rng, nvars)
+            f = f - laurent.augmentation(f)
+            if f == LaurentPoly.zero(nvars):  # reassembles trivially
+                continue
+            trials += 1
+            cofs = laurent.decompose_augmentation_ideal(f)
+            acc = LaurentPoly.zero(nvars)
+            for j, cof in enumerate(cofs):
+                step = tuple(int(k == j) for k in range(nvars))
+                acc = acc + cof * (LaurentPoly.monomial(step) - 1)
+            assert acc == f, nvars
+        assert trials > 30, nvars

@@ -699,7 +699,9 @@ def test_smith_battery_is_pinned_and_reaches_every_path(monkeypatch):
     seen = _count_paths(monkeypatch)
     h = hashlib.sha256()
     for a in _battery():
-        h.update(_smith_digest(a).encode())
+        sm = linalg.smith(a)
+        h.update(_digest(sm).encode())
+        linalg.audit_smith(a, sm)  # exact at every shape and entry size
     assert h.hexdigest() == _SMITH_DIGESTS["battery", 0]
     assert all(count > 0 for count in seen.values()), seen
 

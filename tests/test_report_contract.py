@@ -25,17 +25,17 @@ COMPUTE_JSON = {
 COMPUTE_JSON_D4 = "1e232392fee461a9fe73471b41cd9f4a1c0d97b075fe63329f092f4a81554a5e"
 
 # so is A4's full verify table, where the canonical bases carry object entries
-VERIFY_FULL_A4 = "b9cece80cf1c6ce3aaa053bbcde57cda71d5013a76990edf54ac03af12f2a50a"
+VERIFY_FULL_A4 = "9b1d2351986e8ba7b30eb4d5b0d81714925547eebbedbd34f1d388e083a3baee"
 
 VERIFY_FULL = {
-    "A1": "7a4dea1c90bacea9ba59a8169a41a4262f1077ec6e64cfdb2255b41094ff35d9",
-    "A1xA1": "6fdfc70db81e4ee4928381adac9a176d21c59c15323fa1f55f9c98280d760da8",
-    "A2": "6fdfc70db81e4ee4928381adac9a176d21c59c15323fa1f55f9c98280d760da8",
-    "A3": "b9cece80cf1c6ce3aaa053bbcde57cda71d5013a76990edf54ac03af12f2a50a",
-    "B2": "6fdfc70db81e4ee4928381adac9a176d21c59c15323fa1f55f9c98280d760da8",
-    "B3": "b9cece80cf1c6ce3aaa053bbcde57cda71d5013a76990edf54ac03af12f2a50a",
-    "C3": "b9cece80cf1c6ce3aaa053bbcde57cda71d5013a76990edf54ac03af12f2a50a",
-    "G2": "6fdfc70db81e4ee4928381adac9a176d21c59c15323fa1f55f9c98280d760da8",
+    "A1": "b67785bc4ba31a3ce5a304fef8ad5050086374600f56bba5fec66647eb59f243",
+    "A1xA1": "c61fb89d654d765e8e05399f8b2ce8b5f0ff9966747b7bfbadc7fab740607589",
+    "A2": "c61fb89d654d765e8e05399f8b2ce8b5f0ff9966747b7bfbadc7fab740607589",
+    "A3": "9b1d2351986e8ba7b30eb4d5b0d81714925547eebbedbd34f1d388e083a3baee",
+    "B2": "c61fb89d654d765e8e05399f8b2ce8b5f0ff9966747b7bfbadc7fab740607589",
+    "B3": "9b1d2351986e8ba7b30eb4d5b0d81714925547eebbedbd34f1d388e083a3baee",
+    "C3": "9b1d2351986e8ba7b30eb4d5b0d81714925547eebbedbd34f1d388e083a3baee",
+    "G2": "c61fb89d654d765e8e05399f8b2ce8b5f0ff9966747b7bfbadc7fab740607589",
 }
 
 
